@@ -45,11 +45,9 @@ from .linalg import (
     compound_symmetry_sqrt,
     extract_block,
     incremental_quad_forms,
-    jacobi_eigh,
     log_det_cholesky,
     log_det_incremental,
     sample_covariance,
-    symmetric_sqrt,
 )
 from .montecarlo import (
     DEFAULT_DELTA_GRID,

@@ -27,6 +27,7 @@ from .linalg import (
     BlockPartition,
     _as_data_matrix,
     extract_block,
+    log_det_blocks,
     log_det_cholesky,
     log_det_incremental,
     sample_covariance,
@@ -105,8 +106,9 @@ def log_vn(data, part: BlockPartition, method: str = "projection") -> float:
     off-diagonal blocks of the sample covariance vanish.
 
     The default route runs the projection recursion: the log-determinant
-    of the full scatter matrix and of each block's scatter matrix are
-    accumulated from residual quadratic forms, without forming the p x p
+    of the full scatter matrix is accumulated from the residual quadratic
+    forms of one Householder QR of the data, and the block terms from one
+    batched QR per distinct block size, without forming the p x p
     covariance.  ``method="cholesky"`` instead factorizes the explicitly
     formed sample covariance and its blocks, retained for cross-checking.
     """
@@ -117,12 +119,7 @@ def log_vn(data, part: BlockPartition, method: str = "projection") -> float:
     if p >= n:
         raise DimensionExceedsSample(f"the statistic requires p < n, got p={p}, n={n}")
     if method == "projection":
-        total = log_det_incremental(a)
-        blocks = 0.0
-        for i in range(part.q):
-            lo, hi = part.block_range(i)
-            blocks += log_det_incremental(a, lo, hi)
-        return total - blocks
+        return log_det_incremental(a) - log_det_blocks(a, part)
     if method == "cholesky":
         s = sample_covariance(a)
         total = log_det_cholesky(s)

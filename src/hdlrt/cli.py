@@ -77,13 +77,18 @@ def parse_csv(path: str) -> np.ndarray:
             values.append(value)
         return values
 
-    start = 0
-    try:
-        parse_row(*rows[0])
-    except ParseError:
-        start = 1  # header row
-        if len(rows) == 1:
-            raise ParseError(f"{path}: no data rows below the header") from None
+    def is_number(cell: str) -> bool:
+        try:
+            float(cell)
+        except ValueError:
+            return False
+        return True
+
+    # Row 1 is a header only when none of its cells reads as a number, so a
+    # first data row with one bad cell fails instead of being dropped.
+    start = 0 if any(is_number(cell) for cell in rows[0][1]) else 1
+    if start == len(rows):
+        raise ParseError(f"{path}: no data rows below the header")
     width = len(rows[start][1])
     data = []
     for idx, row in rows[start:]:
@@ -106,10 +111,6 @@ def parse_partition(text: str) -> BlockPartition:
         return BlockPartition(tuple(int(tok) for tok in t.split(",")))
     except (ValueError, TypeError) as exc:
         raise argparse.ArgumentTypeError(f"bad partition {text!r}: {exc}") from exc
-
-
-def _partition_arg(text: str) -> BlockPartition:
-    return parse_partition(text)
 
 
 def _dist_arg(text: str) -> DistributionSpec:
@@ -366,6 +367,8 @@ def _default_threads() -> int:
     try:
         return max(1, int(env)) if env else 1
     except ValueError:
+        print(f"hdlrt: warning: ignoring HDLRT_THREADS={env!r}, not an integer; "
+              "using 1 worker", file=sys.stderr)
         return 1
 
 
@@ -375,7 +378,7 @@ def _add_common_sim_args(parser) -> None:
     parser.add_argument("--n-sizes", type=_sizes_arg, dest="n_sizes",
                         help="comma list of group sizes (eqcov)")
     parser.add_argument("--p", type=int, required=True, help="dimension")
-    parser.add_argument("--blocks", type=_partition_arg,
+    parser.add_argument("--blocks", type=parse_partition,
                         help='partition, e.g. "30x2" or "20,20,20" (block test)')
     parser.add_argument("--scenario", type=int, choices=[1, 2],
                         help="stock partition layout computed from p")
@@ -384,8 +387,9 @@ def _add_common_sim_args(parser) -> None:
     parser.add_argument("--reps", type=int, default=2000)
     parser.add_argument("--alpha", type=float, default=0.05)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=_default_threads(),
-                        help="worker processes; never affects results")
+    parser.add_argument("--threads", type=int,
+                        help="worker processes (default HDLRT_THREADS, else 1); "
+                             "never affects results")
     parser.add_argument("--out", help="output path (default stdout)")
     parser.add_argument("--format", choices=["json", "csv"], default="csv")
 
@@ -402,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tb = test_sub.add_parser("block", help="block-diagonal covariance test")
     tb.add_argument("--input", required=True, help="CSV file, rows = observations")
-    tb.add_argument("--partition", type=_partition_arg, required=True,
+    tb.add_argument("--partition", type=parse_partition, required=True,
                     help='block sizes, e.g. "2,2,3" or "30x2"')
     tb.add_argument("--alpha", type=float, default=0.05)
     tb.add_argument("--method", choices=["projection", "cholesky"], default="projection")
@@ -449,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     debug_sub = debug.add_subparsers(dest="kind", required=True)
     dt = debug_sub.add_parser("trace")
     dt.add_argument("--input", required=True)
-    dt.add_argument("--partition", type=_partition_arg, required=True)
+    dt.add_argument("--partition", type=parse_partition, required=True)
     dt.add_argument("--out")
     dt.set_defaults(func=_cmd_debug_trace)
 
@@ -459,6 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "threads", 0) is None:
+        args.threads = _default_threads()
     try:
         return args.func(args)
     except (InputFileError, OSError) as exc:

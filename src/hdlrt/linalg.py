@@ -1,12 +1,14 @@
-"""Dense symmetric-matrix kernels: sample covariance, log-determinants,
-block extraction, and symmetric square roots.
+"""Dense matrix kernels: sample covariance, log-determinants, block
+extraction, and the compound-symmetry square root.
 
 Two independent log-determinant routes are provided on purpose.  The
 Cholesky route works on an explicitly formed scatter matrix; the
-incremental route never forms a p x p matrix and instead accumulates the
+incremental route never forms a p x p matrix and instead takes the
 squared residual norms of each variable projected onto the orthogonal
-complement of its predecessors.  Agreement between the two is part of the
-test contract, see ``hdlrt.oracle`` for a third (LU based) route.
+complement of its predecessors from the R factor of a Householder QR of
+the data.  Block terms come from one batched QR per distinct block size.
+Agreement between the two routes is part of the test contract, see
+``hdlrt.oracle`` for a third (LU based) route.
 
 All determinants are handled in log space throughout; the raw determinant
 ratios underflow already for moderate dimensions.
@@ -23,7 +25,6 @@ from .errors import (
     DegenerateColumn,
     DimensionExceedsSample,
     DimensionMismatch,
-    NegativeEigenvalue,
     NotPositiveDefinite,
 )
 
@@ -153,6 +154,32 @@ def log_det_cholesky(a) -> float:
     return float(2.0 * np.sum(np.log(diag)))
 
 
+def _squared_residuals(stack: np.ndarray, first_columns) -> np.ndarray:
+    """Squared diagonal of the R factor of each n x s slice of ``stack``.
+
+    ``stack`` has shape (k, n, s); one batched Householder QR factors every
+    slice.  R_jj^2 is the squared residual of column j of a slice after
+    projection onto the orthogonal complement of its predecessors in that
+    slice.  ``first_columns[i]`` is the data column of slice i's first
+    column, used to name the first degenerate column.  Returns shape (k, s).
+    """
+    _, n, s = stack.shape
+    if s > n:
+        raise DimensionExceedsSample(
+            f"{s} columns cannot be linearly independent with n={n} observations"
+        )
+    quad = np.square(np.diagonal(np.linalg.qr(stack, mode="r"), axis1=-2, axis2=-1))
+    norms = np.einsum("kij,kij->kj", stack, stack)
+    bad = (norms == 0.0) | (quad < n * _EPS * _EPS * norms)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        col = first_columns[i] + int(j)
+        if norms[i, j] == 0.0:
+            raise DegenerateColumn(f"column {col} is identically zero")
+        raise DegenerateColumn(f"column {col} is numerically dependent on its predecessors")
+    return quad
+
+
 def incremental_quad_forms(data, start: int = 0, stop: int | None = None) -> np.ndarray:
     """Per-step squared residual norms of the projection recursion.
 
@@ -162,10 +189,10 @@ def incremental_quad_forms(data, start: int = 0, stop: int | None = None) -> np.
     norm.  The product of these quadratic forms equals the determinant of
     the scatter matrix of the selected columns.
 
-    The projection matrices are never formed.  An orthonormal basis of the
-    processed columns is grown one vector at a time; each new column is
-    projected against the basis and reorthogonalized once whenever the
-    residual norm drops below 1/sqrt(2) of the pre-projection norm.
+    The entries are the squared diagonal of the R factor of one LAPACK
+    Householder QR of the selected columns.  QR works on the data itself,
+    so the scatter matrix, and with it the squared condition number, is
+    never formed.
 
     Raises
     ------
@@ -176,40 +203,12 @@ def incremental_quad_forms(data, start: int = 0, stop: int | None = None) -> np.
         If the range holds more columns than there are observations.
     """
     a = _as_data_matrix(data)
-    n, p = a.shape
+    p = a.shape[1]
     if stop is None:
         stop = p
     if not 0 <= start <= stop <= p:
         raise IndexError(f"column range [{start}, {stop}) outside [0, {p})")
-    k = stop - start
-    if k > n:
-        raise DimensionExceedsSample(
-            f"{k} columns cannot be linearly independent with n={n} observations"
-        )
-    quad = np.empty(k)
-    basis = np.empty((k, n))  # rows are orthonormal
-    for j in range(k):
-        v = a[:, start + j]
-        norm0_sq = float(v @ v)
-        if norm0_sq == 0.0:
-            raise DegenerateColumn(f"column {start + j} is identically zero")
-        if j == 0:
-            r = v.copy()
-            r_sq = norm0_sq
-        else:
-            q = basis[:j]
-            r = v - q.T @ (q @ v)
-            r_sq = float(r @ r)
-            if r_sq < 0.5 * norm0_sq:
-                r -= q.T @ (q @ r)
-                r_sq = float(r @ r)
-        if r_sq < n * _EPS * _EPS * norm0_sq:
-            raise DegenerateColumn(
-                f"column {start + j} is numerically dependent on its predecessors"
-            )
-        quad[j] = r_sq
-        basis[j] = r / math.sqrt(r_sq)
-    return quad
+    return _squared_residuals(a[None, :, start:stop], [start])[0]
 
 
 def log_det_incremental(data, start: int = 0, stop: int | None = None) -> float:
@@ -220,6 +219,28 @@ def log_det_incremental(data, start: int = 0, stop: int | None = None) -> float:
     sample covariance, without ever forming the p x p matrix.
     """
     return float(np.sum(np.log(incremental_quad_forms(data, start, stop))))
+
+
+def log_det_blocks(data, part: BlockPartition) -> float:
+    """Sum over the blocks of ``part`` of the log-determinants of the block
+    scatter matrices X_i^T X_i.
+
+    Blocks of equal size are stacked and factored by one batched QR, so
+    the cost is one LAPACK call per distinct block size rather than one
+    per block.  Raises like ``incremental_quad_forms`` on each block.
+    """
+    a = _as_data_matrix(data)
+    if part.p != a.shape[1]:
+        raise DimensionMismatch(f"partition p={part.p} does not match data p={a.shape[1]}")
+    starts_by_size: dict[int, list[int]] = {}
+    for lo, size in zip(part.cumulative, part.sizes):
+        starts_by_size.setdefault(size, []).append(lo)
+    total = 0.0
+    for size, starts in starts_by_size.items():
+        columns = np.add.outer(starts, np.arange(size))
+        stack = a[:, columns].transpose(1, 0, 2)
+        total += float(np.sum(np.log(_squared_residuals(stack, starts))))
+    return total
 
 
 def extract_block(a, part: BlockPartition, i: int) -> np.ndarray:
@@ -235,70 +256,6 @@ def extract_block(a, part: BlockPartition, i: int) -> np.ndarray:
         )
     lo, hi = part.block_range(i)
     return m[lo:hi, lo:hi].copy()
-
-
-def jacobi_eigh(a, tol: float = 1e-12, max_sweeps: int = 30) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric eigendecomposition by the cyclic Jacobi method.
-
-    Sweeps rotate away every off-diagonal entry in turn until the
-    off-diagonal Frobenius norm falls below ``tol`` times the Frobenius
-    norm of the input.  Returns (eigenvalues, eigenvectors) with
-    eigenvectors in columns; a @ v = v @ diag(w) up to rounding.
-    """
-    m = _check_symmetric(a).copy()
-    d = m.shape[0]
-    v = np.eye(d)
-    fnorm = float(np.linalg.norm(m))
-    if fnorm == 0.0 or d == 1:
-        return np.diagonal(m).copy(), v
-    for _ in range(max_sweeps):
-        off_part = m.copy()
-        np.fill_diagonal(off_part, 0.0)
-        if float(np.linalg.norm(off_part)) <= tol * fnorm:
-            break
-        for r in range(d - 1):
-            for c in range(r + 1, d):
-                if abs(m[r, c]) <= tol * fnorm / d:
-                    continue
-                diff = m[c, c] - m[r, r]
-                if abs(m[r, c]) < abs(diff) * 1e-36:
-                    t = m[r, c] / diff  # rotation angle ~ 0, avoids overflow below
-                else:
-                    theta = diff / (2.0 * m[r, c])
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                cos = 1.0 / math.hypot(1.0, t)
-                sin = t * cos
-                row_r = m[r].copy()
-                row_c = m[c].copy()
-                m[r] = cos * row_r - sin * row_c
-                m[c] = sin * row_r + cos * row_c
-                col_r = m[:, r].copy()
-                col_c = m[:, c].copy()
-                m[:, r] = cos * col_r - sin * col_c
-                m[:, c] = sin * col_r + cos * col_c
-                m[r, c] = 0.0
-                m[c, r] = 0.0
-                vec_r = v[:, r].copy()
-                vec_c = v[:, c].copy()
-                v[:, r] = cos * vec_r - sin * vec_c
-                v[:, c] = sin * vec_r + cos * vec_c
-    return np.diagonal(m).copy(), v
-
-
-def symmetric_sqrt(a) -> np.ndarray:
-    """Symmetric positive semidefinite square root of a PSD matrix.
-
-    Computed from a cyclic-Jacobi eigendecomposition with the eigenvalues
-    square-rooted; eigenvalues below a relative negativity tolerance raise
-    NegativeEigenvalue, tiny negative rounding noise is clipped to zero.
-    """
-    m = _check_symmetric(a)
-    w, v = jacobi_eigh(m)
-    scale = max(float(np.max(np.abs(w))), 1.0)
-    if np.min(w) < -1e-10 * scale:
-        raise NegativeEigenvalue(f"eigenvalue {np.min(w):.3e} below tolerance")
-    root = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.T
-    return _mirror(root)
 
 
 def compound_symmetry_sqrt(delta: float, p: int) -> np.ndarray:

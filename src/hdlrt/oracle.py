@@ -1,9 +1,11 @@
 """Brute-force reference implementations used by the test suite.
 
 Deliberately different algorithms from the main paths: partial-pivot LU
-instead of Cholesky (no symmetry exploited), and explicit least-squares
-projection per step instead of the incremental orthonormal basis, so that
-agreement between the routes is evidence rather than tautology.
+instead of Cholesky (no symmetry exploited), explicit least-squares
+projection per step instead of the residuals read off one Householder QR,
+and an eigendecomposition instead of the closed-form compound-symmetry
+square root, so that agreement between the routes is evidence rather than
+tautology.
 
 Not part of the public library surface; reachable from the hidden CLI
 subcommand ``debug trace`` for inspection.
@@ -16,8 +18,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateColumn, DimensionExceedsSample, DimensionMismatch, SingularMatrix
-from .linalg import BlockPartition, _as_data_matrix, extract_block, sample_covariance
+from .errors import (
+    DegenerateColumn,
+    DimensionExceedsSample,
+    DimensionMismatch,
+    NegativeEigenvalue,
+    SingularMatrix,
+)
+from .linalg import (
+    BlockPartition,
+    _as_data_matrix,
+    _check_symmetric,
+    _mirror,
+    extract_block,
+    sample_covariance,
+)
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -68,6 +83,21 @@ def naive_log_vn(data, part: BlockPartition) -> float:
         block_val, _ = lu_log_det(extract_block(s, part, i))
         blocks += block_val
     return total - blocks
+
+
+def symmetric_sqrt(a) -> np.ndarray:
+    """Symmetric positive semidefinite square root of a PSD matrix.
+
+    Computed from numpy's symmetric eigendecomposition with the eigenvalues
+    square-rooted; eigenvalues below a relative negativity tolerance raise
+    NegativeEigenvalue, tiny negative rounding noise is clipped to zero.
+    """
+    m = _check_symmetric(a)
+    w, v = np.linalg.eigh(m)
+    scale = max(float(np.max(np.abs(w))), 1.0)
+    if np.min(w) < -1e-10 * scale:
+        raise NegativeEigenvalue(f"eigenvalue {np.min(w):.3e} below tolerance")
+    return _mirror((v * np.sqrt(np.clip(w, 0.0, None))) @ v.T)
 
 
 def explicit_quad_form(span_columns: np.ndarray, b: np.ndarray) -> float:

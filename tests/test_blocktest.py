@@ -18,12 +18,13 @@ from hdlrt.blocktest import (
     log_vn,
 )
 from hdlrt.errors import (
+    DegenerateColumn,
     DimensionExceedsSample,
     InvalidAlpha,
     InvalidDesign,
     ZeroVariance,
 )
-from hdlrt.linalg import BlockPartition
+from hdlrt.linalg import BlockPartition, log_det_blocks, log_det_incremental
 from hdlrt.oracle import naive_log_vn
 from hdlrt.sampling import normal_cdf, normal_quantile
 
@@ -210,6 +211,35 @@ def test_log_vn_block_diagonal_transform_invariance(rng):
             lo, hi = part.block_range(i)
             transform[lo:hi, lo:hi] = blocks[i]
         assert log_vn(data @ transform.T, part) == pytest.approx(base, abs=1e-8)
+
+
+@pytest.mark.parametrize("sizes", [
+    (1,) * 60,
+    (1,) * 29 + (31,),
+    (3, 1, 2, 1, 5),
+    (2,) * 30,
+])
+def test_log_vn_batched_block_terms_match_per_block(sizes):
+    # equal-size blocks are factored together; each must still contribute
+    # exactly its own scatter determinant
+    part = BlockPartition(sizes)
+    data = np.random.default_rng(part.q).standard_normal((part.p + 40, part.p))
+    per_block = sum(log_det_incremental(data, *part.block_range(i)) for i in range(part.q))
+    expected = log_det_incremental(data) - per_block
+    got = log_vn(data, part)
+    assert got == pytest.approx(expected, rel=1e-10)
+    assert got == pytest.approx(naive_log_vn(data, part), rel=1e-10)
+
+
+def test_log_vn_duplicate_column_inside_block(rng):
+    part = BlockPartition((3, 1, 2, 1, 5))
+    data = rng.standard_normal((30, part.p))
+    lo, hi = part.block_range(4)
+    data[:, lo + 2] = -3.0 * data[:, lo]
+    with pytest.raises(DegenerateColumn):
+        log_vn(data, part)
+    with pytest.raises(DegenerateColumn, match=f"column {lo + 2} "):
+        log_det_blocks(data, part)
 
 
 # ---------------------------------------------------------------------------

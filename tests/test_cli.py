@@ -68,6 +68,14 @@ def test_parse_csv_rejects_non_finite(tmp_path):
         parse_csv(str(path))
 
 
+def test_parse_csv_first_row_with_bad_cell_is_not_a_header(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("1.0,nan,3\n4,5,6\n")
+    with pytest.raises(ParseError) as err:
+        parse_csv(str(path))
+    assert (err.value.row, err.value.col) == (1, 2)
+
+
 def test_parse_csv_empty(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("\n\n")
@@ -271,15 +279,29 @@ def test_simulate_block_hist_with_blocks_flag(tmp_path):
     assert payload["plan"]["dist"] == "t15"
 
 
-def test_threads_env_fallback(monkeypatch):
+def test_threads_env_fallback(monkeypatch, capsys):
     from hdlrt.cli import _default_threads
 
     monkeypatch.setenv("HDLRT_THREADS", "3")
     assert _default_threads() == 3
-    monkeypatch.setenv("HDLRT_THREADS", "junk")
-    assert _default_threads() == 1
     monkeypatch.delenv("HDLRT_THREADS")
     assert _default_threads() == 1
+    assert capsys.readouterr().err == ""
+    monkeypatch.setenv("HDLRT_THREADS", "junk")
+    assert _default_threads() == 1
+
+
+def test_threads_env_bad_value_warns_once_and_keeps_output(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("HDLRT_THREADS", "two")
+    out_path = tmp_path / "level.csv"
+    code = run_cli(["simulate", "level", "--test", "block", "--n", "40", "--p", "8",
+                    "--blocks", "2x4", "--reps", "50", "--seed", "42",
+                    "--format", "csv", "--out", str(out_path)])
+    assert code == 0
+    assert out_path.read_text() == GOLDEN_LEVEL_CSV
+    warnings = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
+    assert warnings == ["hdlrt: warning: ignoring HDLRT_THREADS='two', not an integer; "
+                        "using 1 worker"]
 
 
 # ---------------------------------------------------------------------------
