@@ -47,15 +47,65 @@ from .oracle import martingale_trace
 from .sampling import DistributionSpec
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _is_filled(row: list[str]) -> bool:
+    return any(cell.strip() != "" for cell in row)
+
+
 def parse_csv(path: str) -> np.ndarray:
     """Read a rectangular numeric CSV as an observations-by-variables array.
+
+    Blank rows are skipped, and the first remaining row is a header when
+    none of its cells reads as a number.  The data rows below it are read
+    in one ``np.loadtxt`` pass.  When that pass raises, finds no rows or
+    yields a non-finite value, the file is re-read cell by cell with
+    ``float`` (``_parse_csv_rows``), which also accepts what ``loadtxt``
+    does not, such as quoted numbers, ``,,`` blank rows and ``1_0``.  Both
+    reads give the same array on every file the exact one accepts.
 
     Raises RaggedRows (with the 1-based file row) on width mismatches and
     ParseError on non-numeric or non-finite cells.
     """
+    data = None
+    with open(path, newline="") as fh:
+        # readline, not iteration, so that tell() marks the end of the header.
+        rows = filter(_is_filled, csv.reader(iter(fh.readline, "")))
+        try:
+            first = next(rows, None)
+            if first is not None and not any(_is_number(cell) for cell in first):
+                # A header: look for a row below it, so that loadtxt never
+                # warns about an empty input; the exact read words that error.
+                start = fh.tell()
+                first = next(rows, None)
+                fh.seek(start)
+            else:
+                fh.seek(0)
+            if first is not None:
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                                  dtype=np.float64)
+        except ValueError:
+            pass
+    if data is None or data.shape[0] == 0 or not np.isfinite(data).all():
+        return _parse_csv_rows(path)
+    return data
+
+
+def _parse_csv_rows(path: str) -> np.ndarray:
+    """Exact reference read behind ``parse_csv``: one ``float`` per cell.
+
+    The only place that words ParseError/RaggedRows with a file row and
+    column.
+    """
     with open(path, newline="") as fh:
         rows = [(idx, row) for idx, row in enumerate(csv.reader(fh), start=1)
-                if any(cell.strip() != "" for cell in row)]
+                if _is_filled(row)]
     if not rows:
         raise ParseError(f"{path}: no data rows")
 
@@ -77,16 +127,9 @@ def parse_csv(path: str) -> np.ndarray:
             values.append(value)
         return values
 
-    def is_number(cell: str) -> bool:
-        try:
-            float(cell)
-        except ValueError:
-            return False
-        return True
-
     # Row 1 is a header only when none of its cells reads as a number, so a
     # first data row with one bad cell fails instead of being dropped.
-    start = 0 if any(is_number(cell) for cell in rows[0][1]) else 1
+    start = 0 if any(_is_number(cell) for cell in rows[0][1]) else 1
     if start == len(rows):
         raise ParseError(f"{path}: no data rows below the header")
     width = len(rows[start][1])

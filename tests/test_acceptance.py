@@ -42,6 +42,7 @@ def pooled_se(r1: float, n1: int, r2: float, n2: int) -> float:
     return math.sqrt(avg * (1.0 - avg) * (1.0 / n1 + 1.0 / n2))
 
 
+@pytest.mark.slow
 def test_criterion_01_block_level_all_cells():
     start = time.perf_counter()
     failures = []
@@ -64,6 +65,7 @@ def test_criterion_01_block_level_all_cells():
          f"{elapsed:.0f}s; failures: {failures}")
 
 
+@pytest.mark.slow
 def test_criterion_02_null_shape_and_invariance(reference_null_run):
     results = {label: reference_null_run(label) for label in DISTRIBUTIONS}
     ks = {label: res.ks_statistic for label, res in results.items()}
@@ -81,6 +83,7 @@ def test_criterion_02_null_shape_and_invariance(reference_null_run):
          f"KS={ {k: round(v, 4) for k, v in ks.items()} }; " + "; ".join(details))
 
 
+@pytest.mark.slow
 def test_criterion_03_power_monotone_and_reaches_09():
     rates = []
     for i, delta in enumerate(POWER_DELTAS):
@@ -162,6 +165,7 @@ def test_criterion_06_correlation_specialization():
          f"statistic gap {worst_stat:.2e} over all 2<=p<n<=300")
 
 
+@pytest.mark.slow
 def test_criterion_07_eqcov_level_and_shape():
     """Level and normal-data shape hold; the t15/exp1 KS clauses are red.
 

@@ -7,9 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from hdlrt.cli import main, parse_csv, parse_partition
+from hdlrt.cli import _parse_csv_rows, main, parse_csv, parse_partition
 from hdlrt.errors import ParseError, RaggedRows
 from hdlrt.linalg import BlockPartition
+from hdlrt.oracle import naive_log_vn
 from hdlrt.sampling import DistributionSpec, sample_entry_matrix
 
 GOLDEN_LEVEL_CSV = (
@@ -81,6 +82,56 @@ def test_parse_csv_empty(tmp_path):
     path.write_text("\n\n")
     with pytest.raises(ParseError):
         parse_csv(str(path))
+
+
+# Files for the one-pass read against the exact per-cell read: some take the
+# loadtxt pass, the others need the exact read to accept them or word the error.
+PARSE_CASES = {
+    "header": "a,b\n1,2\n3,4\n",
+    "quoted_numbers": '"1","2"\n"3","4"\n',
+    "comma_blank_rows": "1,2,3\n,,\n4,5,6\n,,\n",
+    "crlf_blank_lines_before_header": "\r\n\r\na,b\r\n1,2\r\n3,4\r\n",
+    "header_only": "a,b\n",
+    "trailing_comma": "1,2,\n3,4,\n",
+    "hash_cell": "1,2\n#,4\n",
+    "underscore_digits": "1_0,2\n3,4\n",
+    "overflow_to_inf": "1,2\n3,1e309\n",
+    "single_column": "x\n1\n2\n3\n",
+    "single_row": "1,2,3\n",
+    "nan_after_blank_lines": "1,2\n\n\n3,nan\n",
+    "ragged": "a,b\n1,2\n3\n",
+}
+
+
+def _read_outcome(read, path):
+    try:
+        data = read(path)
+    except (ParseError, RaggedRows) as exc:
+        return type(exc), str(exc), exc.row, exc.col
+    return data.shape, data.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(PARSE_CASES))
+def test_parse_csv_matches_exact_read(tmp_path, name):
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(PARSE_CASES[name].encode())
+    assert _read_outcome(parse_csv, str(path)) == _read_outcome(_parse_csv_rows, str(path))
+
+
+def test_parse_csv_error_names_file_row_after_blank_lines(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text(PARSE_CASES["nan_after_blank_lines"])
+    with pytest.raises(ParseError) as err:
+        parse_csv(str(path))
+    assert (err.value.row, err.value.col) == (4, 2)
+
+
+def test_parse_csv_header_only_emits_no_warning(tmp_path, recwarn):
+    path = tmp_path / "d.csv"
+    path.write_text(PARSE_CASES["header_only"])
+    with pytest.raises(ParseError, match="no data rows below the header"):
+        parse_csv(str(path))
+    assert len(recwarn) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +230,42 @@ def test_json_round_trip_reproduces_decision(tmp_path):
 
     z = (payload["log_statistic"] - payload["constants"]["mu_n"]) / payload["constants"]["sigma_n"]
     assert (normal_cdf(z) <= payload["alpha"]) == payload["reject"]
+
+
+def write_repr_csv(path, data, quoted):
+    cell = (lambda v: f'"{v!r}"') if quoted else repr
+    lines = [",".join(f"x{j + 1}" for j in range(data.shape[1]))]
+    lines += [",".join(cell(v) for v in row) for row in data.tolist()]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_test_commands_byte_identical_for_both_read_paths(tmp_path):
+    """Plain cells take the loadtxt pass; quoted cells force the exact read."""
+    groups = [sample_entry_matrix(300, 40, DistributionSpec.normal(), seed=31, stream=k)
+              for k in range(2)]
+    paths = {}
+    for quoted in (False, True):
+        paths[quoted] = []
+        for k, data in enumerate(groups):
+            path = tmp_path / f"g{k}_{'quoted' if quoted else 'plain'}.csv"
+            write_repr_csv(path, data, quoted)
+            paths[quoted].append(str(path))
+    commands = {
+        "block": lambda files: ["test", "block", "--input", files[0], "--partition", "20x2"],
+        "corr": lambda files: ["test", "corr", "--input", files[0]],
+        "eqcov": lambda files: ["test", "eqcov", "--input", files[0], "--input", files[1]],
+    }
+    for name, command in commands.items():
+        outputs = []
+        for quoted in (False, True):
+            out_path = tmp_path / f"{name}_{quoted}.json"
+            assert run_cli(command(paths[quoted]) + ["--out", str(out_path)]) == 0
+            outputs.append(out_path.read_bytes())
+        assert outputs[0] == outputs[1], name
+        if name == "block":
+            stat = json.loads(outputs[0])["log_statistic"]
+            assert stat == pytest.approx(
+                naive_log_vn(groups[0], BlockPartition.uniform(20, 2)), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
