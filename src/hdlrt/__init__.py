@@ -43,7 +43,6 @@ from .errors import (
 from .linalg import (
     BlockPartition,
     compound_symmetry_sqrt,
-    extract_block,
     incremental_quad_forms,
     log_det_cholesky,
     log_det_incremental,

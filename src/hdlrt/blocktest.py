@@ -26,11 +26,9 @@ from .errors import (
 from .linalg import (
     BlockPartition,
     _as_data_matrix,
-    extract_block,
     log_det_blocks,
-    log_det_cholesky,
+    log_det_cholesky,  # unused here; perfbench/tracing.py WRAPPED wraps this name
     log_det_incremental,
-    sample_covariance,
 )
 from .sampling import normal_cdf
 
@@ -99,18 +97,17 @@ def _standardize(log_statistic: float, mu: float, sigma: float, alpha: float,
     )
 
 
-def log_vn(data, part: BlockPartition, method: str = "projection") -> float:
+def log_vn(data, part: BlockPartition) -> float:
     """Log of the determinant-ratio statistic V_n = |S| / prod_i |S_ii|.
 
     Always <= 0 (Fischer's inequality), with equality exactly when the
     off-diagonal blocks of the sample covariance vanish.
 
-    The default route runs the projection recursion: the log-determinant
-    of the full scatter matrix is accumulated from the residual quadratic
-    forms of one Householder QR of the data, and the block terms from one
-    batched QR per distinct block size, without forming the p x p
-    covariance.  ``method="cholesky"`` instead factorizes the explicitly
-    formed sample covariance and its blocks, retained for cross-checking.
+    Computed by the projection recursion: the log-determinant of the full
+    scatter matrix is accumulated from the residual quadratic forms of one
+    Householder QR of the data, and the block terms from one batched QR per
+    distinct block size, without forming the p x p covariance.  The LU
+    reference for the test suite is ``hdlrt.oracle.naive_log_vn``.
     """
     a = _as_data_matrix(data)
     n, p = a.shape
@@ -118,14 +115,7 @@ def log_vn(data, part: BlockPartition, method: str = "projection") -> float:
         raise DimensionMismatch(f"partition p={part.p} does not match data p={p}")
     if p >= n:
         raise DimensionExceedsSample(f"the statistic requires p < n, got p={p}, n={n}")
-    if method == "projection":
-        return log_det_incremental(a) - log_det_blocks(a, part)
-    if method == "cholesky":
-        s = sample_covariance(a)
-        total = log_det_cholesky(s)
-        blocks = sum(log_det_cholesky(extract_block(s, part, i)) for i in range(part.q))
-        return total - blocks
-    raise ValueError(f"unknown method {method!r}")
+    return log_det_incremental(a) - log_det_blocks(a, part)
 
 
 def block_constants(n: int, part: BlockPartition) -> BlockTestConstants:
@@ -171,7 +161,7 @@ def _regime_warnings(n: int, part: BlockPartition) -> tuple[str, ...]:
     return tuple(notes)
 
 
-def block_test(data, part: BlockPartition, alpha: float, method: str = "projection") -> TestReport:
+def block_test(data, part: BlockPartition, alpha: float) -> TestReport:
     """Run the block-diagonal covariance test at level ``alpha``.
 
     One-sided lower rejection: reject when Phi(z) <= alpha, equivalently
@@ -181,12 +171,12 @@ def block_test(data, part: BlockPartition, alpha: float, method: str = "projecti
     alpha = _validate_alpha(alpha)
     a = _as_data_matrix(data)
     const = block_constants(a.shape[0], part)
-    statistic = log_vn(a, part, method=method)
+    statistic = log_vn(a, part)
     return _standardize(statistic, const.mu_n, const.sigma_n, alpha,
                         _regime_warnings(const.n, part))
 
 
-def log_det_correlation(data, method: str = "projection") -> float:
+def log_det_correlation(data) -> float:
     """Log-determinant of the (uncentered) sample correlation matrix.
 
     Algebraically identical to ``log_vn`` with the all-singleton
@@ -203,7 +193,7 @@ def log_det_correlation(data, method: str = "projection") -> float:
     top = float(np.max(diag))
     if top <= 0.0 or bool(np.any(diag <= _EPS * top)):
         raise ZeroVariance("a variable has (numerically) zero variance")
-    return log_vn(a, BlockPartition.unit(p), method=method)
+    return log_vn(a, BlockPartition.unit(p))
 
 
 def correlation_constants(n: int, p: int) -> BlockTestConstants:
@@ -226,12 +216,12 @@ def correlation_constants(n: int, p: int) -> BlockTestConstants:
                               partition=BlockPartition.unit(p))
 
 
-def correlation_test(data, alpha: float, method: str = "projection") -> TestReport:
+def correlation_test(data, alpha: float) -> TestReport:
     """Test for a diagonal covariance via the sample correlation determinant."""
     alpha = _validate_alpha(alpha)
     a = _as_data_matrix(data)
     n, p = a.shape
     const = correlation_constants(n, p)
-    statistic = log_det_correlation(a, method=method)
+    statistic = log_det_correlation(a)
     return _standardize(statistic, const.mu_n, const.sigma_n, alpha,
                         _regime_warnings(n, const.partition))

@@ -242,7 +242,7 @@ def _emit_report(payload: dict, fmt: str, out: str | None) -> None:
 
 def _cmd_test_block(args) -> int:
     data = parse_csv(args.input)
-    report = block_test(data, args.partition, args.alpha, method=args.method)
+    report = block_test(data, args.partition, args.alpha)
     const = block_constants(data.shape[0], args.partition)
     payload = _report_payload(
         "block", report,
@@ -255,7 +255,7 @@ def _cmd_test_block(args) -> int:
 
 def _cmd_test_corr(args) -> int:
     data = parse_csv(args.input)
-    report = correlation_test(data, args.alpha, method=args.method)
+    report = correlation_test(data, args.alpha)
     const = correlation_constants(data.shape[0], data.shape[1])
     payload = _report_payload(
         "correlation", report,
@@ -269,7 +269,7 @@ def _cmd_test_corr(args) -> int:
 def _cmd_test_eqcov(args) -> int:
     groups = tuple(parse_csv(path) for path in args.input)
     sample = GroupedSample(groups)
-    report = eqcov_test(sample, args.alpha, method=args.method)
+    report = eqcov_test(sample, args.alpha)
     const = eqcov_constants(sample.n_sizes, sample.p)
     payload = _report_payload(
         "eqcov", report,
@@ -405,12 +405,22 @@ def _row_dicts(rows: list[list]) -> list[dict]:
     return [dict(zip(_SIM_HEADER, row)) for row in rows]
 
 
+def _threads_arg(text: str) -> int:
+    try:
+        threads = int(text)
+        if threads >= 1:
+            return threads
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+
+
 def _default_threads() -> int:
     env = os.environ.get("HDLRT_THREADS")
     try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        print(f"hdlrt: warning: ignoring HDLRT_THREADS={env!r}, not an integer; "
+        return _threads_arg(env) if env else 1
+    except argparse.ArgumentTypeError:
+        print(f"hdlrt: warning: ignoring HDLRT_THREADS={env!r}, not a positive integer; "
               "using 1 worker", file=sys.stderr)
         return 1
 
@@ -430,9 +440,9 @@ def _add_common_sim_args(parser) -> None:
     parser.add_argument("--reps", type=int, default=2000)
     parser.add_argument("--alpha", type=float, default=0.05)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int,
-                        help="worker processes (default HDLRT_THREADS, else 1); "
-                             "never affects results")
+    parser.add_argument("--threads", type=_threads_arg,
+                        help="worker processes, at least 1 (default HDLRT_THREADS, "
+                             "else 1); never affects results")
     parser.add_argument("--out", help="output path (default stdout)")
     parser.add_argument("--format", choices=["json", "csv"], default="csv")
 
@@ -452,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     tb.add_argument("--partition", type=parse_partition, required=True,
                     help='block sizes, e.g. "2,2,3" or "30x2"')
     tb.add_argument("--alpha", type=float, default=0.05)
-    tb.add_argument("--method", choices=["projection", "cholesky"], default="projection")
     tb.add_argument("--out")
     tb.add_argument("--format", choices=["json", "csv"], default="json")
     tb.set_defaults(func=_cmd_test_block)
@@ -460,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     tc = test_sub.add_parser("corr", help="diagonal covariance (correlation determinant) test")
     tc.add_argument("--input", required=True)
     tc.add_argument("--alpha", type=float, default=0.05)
-    tc.add_argument("--method", choices=["projection", "cholesky"], default="projection")
     tc.add_argument("--out")
     tc.add_argument("--format", choices=["json", "csv"], default="json")
     tc.set_defaults(func=_cmd_test_corr)
@@ -469,7 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     te.add_argument("--input", required=True, action="append",
                     help="one CSV per group (repeat the flag)")
     te.add_argument("--alpha", type=float, default=0.05)
-    te.add_argument("--method", choices=["cholesky", "projection"], default="cholesky")
     te.add_argument("--out")
     te.add_argument("--format", choices=["json", "csv"], default="json")
     te.set_defaults(func=_cmd_test_eqcov)

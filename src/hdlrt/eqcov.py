@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import DimensionExceedsSample, DimensionMismatch, InvalidDesign
 from .blocktest import TestReport, _standardize, _validate_alpha
+# log_det_incremental is unused here; perfbench/tracing.py WRAPPED wraps this name
 from .linalg import _as_data_matrix, _mirror, log_det_cholesky, log_det_incremental
 
 
@@ -101,33 +102,23 @@ def _kahan_matrix_sum(parts: Sequence[np.ndarray]) -> np.ndarray:
     return total
 
 
-def log_lambda2(sample, method: str = "cholesky") -> float:
+def log_lambda2(sample) -> float:
     """Log likelihood-ratio statistic for equality of group covariances.
 
     Always <= 0; equals 0 exactly when every normalized group scatter
-    A_j / n_j coincides with the pooled A / n.  The default route runs a
-    Cholesky factorization per group plus one for the pooled scatter
-    (formed by exact compensated summation); ``method="projection"``
-    recomputes every determinant through the projection recursion on the
-    raw group (and stacked) data for cross-checking.
+    A_j / n_j coincides with the pooled A / n.  Computed by one Cholesky
+    factorization per group scatter plus one for the pooled scatter,
+    which is formed by compensated summation of the group scatters in
+    ascending group order.  ``hdlrt.oracle.naive_log_lambda2`` evaluates
+    the same quantity by LU for the test suite.
     """
     s = _coerce(sample)
-    n, p = s.n, s.p
-    if method == "cholesky":
-        scatters = [_mirror(g.T @ g) for g in s.groups]
-        pooled = _kahan_matrix_sum(scatters)
-        per_group = sum(
-            nj * log_det_cholesky(a / nj) for nj, a in zip(s.n_sizes, scatters)
-        )
-        return 0.5 * (per_group - n * log_det_cholesky(pooled / n))
-    if method == "projection":
-        per_group = sum(
-            nj * (log_det_incremental(g) - p * math.log(nj))
-            for nj, g in zip(s.n_sizes, s.groups)
-        )
-        stacked = np.vstack(s.groups)
-        return 0.5 * (per_group - n * (log_det_incremental(stacked) - p * math.log(n)))
-    raise ValueError(f"unknown method {method!r}")
+    scatters = [_mirror(g.T @ g) for g in s.groups]
+    pooled = _kahan_matrix_sum(scatters)
+    per_group = sum(
+        nj * log_det_cholesky(a / nj) for nj, a in zip(s.n_sizes, scatters)
+    )
+    return 0.5 * (per_group - s.n * log_det_cholesky(pooled / s.n))
 
 
 def eqcov_constants(n_sizes: Sequence[int], p: int) -> EqCovConstants:
@@ -183,7 +174,7 @@ def _eqcov_warnings(n_sizes: tuple[int, ...], p: int) -> tuple[str, ...]:
     return tuple(notes)
 
 
-def eqcov_test(sample, alpha: float, method: str = "cholesky") -> TestReport:
+def eqcov_test(sample, alpha: float) -> TestReport:
     """Run the equality-of-covariances test at level ``alpha``.
 
     The report stores ``log_statistic = 2 log L`` together with its
@@ -194,6 +185,6 @@ def eqcov_test(sample, alpha: float, method: str = "cholesky") -> TestReport:
     alpha = _validate_alpha(alpha)
     s = _coerce(sample)
     const = eqcov_constants(s.n_sizes, s.p)
-    statistic = log_lambda2(s, method=method)
+    statistic = log_lambda2(s)
     return _standardize(2.0 * statistic, const.mu_n, s.n * const.sigma_n,
                         alpha, _eqcov_warnings(s.n_sizes, s.p))

@@ -1,14 +1,13 @@
-"""Dense matrix kernels: sample covariance, log-determinants, block
-extraction, and the compound-symmetry square root.
+"""Dense matrix kernels: sample covariance, log-determinants, and the
+compound-symmetry square root.
 
-Two independent log-determinant routes are provided on purpose.  The
-Cholesky route works on an explicitly formed scatter matrix; the
-incremental route never forms a p x p matrix and instead takes the
-squared residual norms of each variable projected onto the orthogonal
-complement of its predecessors from the R factor of a Householder QR of
-the data.  Block terms come from one batched QR per distinct block size.
-Agreement between the two routes is part of the test contract, see
-``hdlrt.oracle`` for a third (LU based) route.
+The block and correlation statistics use the incremental route, which
+never forms a p x p matrix and instead takes the squared residual norms
+of each variable projected onto the orthogonal complement of its
+predecessors from the R factor of a Householder QR of the data; block
+terms come from one batched QR per distinct block size.  The
+equality-of-covariances statistic uses the Cholesky route on explicitly
+formed scatter matrices.  ``hdlrt.oracle`` holds the LU reference.
 
 All determinants are handled in log space throughout; the raw determinant
 ratios underflow already for moderate dimensions.
@@ -241,21 +240,6 @@ def log_det_blocks(data, part: BlockPartition) -> float:
         stack = a[:, columns].transpose(1, 0, 2)
         total += float(np.sum(np.log(_squared_residuals(stack, starts))))
     return total
-
-
-def extract_block(a, part: BlockPartition, i: int) -> np.ndarray:
-    """Principal submatrix of ``a`` for block ``i`` (0-based) of ``part``.
-
-    Raises IndexError if ``i`` is outside [0, q) and DimensionMismatch if
-    ``a`` is not p x p for the partition's total dimension.
-    """
-    m = _check_symmetric(a)
-    if m.shape[0] != part.p:
-        raise DimensionMismatch(
-            f"matrix of size {m.shape[0]} does not match partition p={part.p}"
-        )
-    lo, hi = part.block_range(i)
-    return m[lo:hi, lo:hi].copy()
 
 
 def compound_symmetry_sqrt(delta: float, p: int) -> np.ndarray:

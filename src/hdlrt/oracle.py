@@ -1,11 +1,11 @@
 """Brute-force reference implementations used by the test suite.
 
 Deliberately different algorithms from the main paths: partial-pivot LU
-instead of Cholesky (no symmetry exploited), explicit least-squares
-projection per step instead of the residuals read off one Householder QR,
-and an eigendecomposition instead of the closed-form compound-symmetry
-square root, so that agreement between the routes is evidence rather than
-tautology.
+of explicitly formed matrices instead of QR or Cholesky (no symmetry
+exploited), explicit least-squares projection per step instead of the
+residuals read off one Householder QR, and an eigendecomposition instead
+of the closed-form compound-symmetry square root, so that agreement
+between the routes is evidence rather than tautology.
 
 Not part of the public library surface; reachable from the hidden CLI
 subcommand ``debug trace`` for inspection.
@@ -25,12 +25,12 @@ from .errors import (
     NegativeEigenvalue,
     SingularMatrix,
 )
+from .eqcov import _coerce
 from .linalg import (
     BlockPartition,
     _as_data_matrix,
     _check_symmetric,
     _mirror,
-    extract_block,
     sample_covariance,
 )
 
@@ -67,6 +67,21 @@ def lu_log_det(a) -> tuple[float, int]:
     return log_abs, sign
 
 
+def extract_block(a, part: BlockPartition, i: int) -> np.ndarray:
+    """Principal submatrix of ``a`` for block ``i`` (0-based) of ``part``.
+
+    Raises IndexError if ``i`` is outside [0, q) and DimensionMismatch if
+    ``a`` is not p x p for the partition's total dimension.
+    """
+    m = _check_symmetric(a)
+    if m.shape[0] != part.p:
+        raise DimensionMismatch(
+            f"matrix of size {m.shape[0]} does not match partition p={part.p}"
+        )
+    lo, hi = part.block_range(i)
+    return m[lo:hi, lo:hi].copy()
+
+
 def naive_log_vn(data, part: BlockPartition) -> float:
     """log V_n evaluated literally: LU log-determinants of the explicitly
     formed sample covariance and each of its diagonal blocks."""
@@ -83,6 +98,16 @@ def naive_log_vn(data, part: BlockPartition) -> float:
         block_val, _ = lu_log_det(extract_block(s, part, i))
         blocks += block_val
     return total - blocks
+
+
+def naive_log_lambda2(sample) -> float:
+    """log L of the equality-of-covariances test evaluated literally: LU
+    log-determinants of the explicitly formed A_j / n_j and A / n, with the
+    pooled scatter A summed in plain floating point."""
+    s = _coerce(sample)
+    scatters = [g.T @ g for g in s.groups]
+    per_group = sum(nj * lu_log_det(a / nj)[0] for nj, a in zip(s.n_sizes, scatters))
+    return 0.5 * (per_group - s.n * lu_log_det(sum(scatters) / s.n)[0])
 
 
 def symmetric_sqrt(a) -> np.ndarray:

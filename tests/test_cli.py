@@ -268,6 +268,55 @@ def test_test_commands_byte_identical_for_both_read_paths(tmp_path):
                 naive_log_vn(groups[0], BlockPartition.uniform(20, 2)), rel=1e-9)
 
 
+# Default JSON reports on a seeded 80 x 6 matrix (and a second group for
+# eqcov); a change to any statistic, constant or field shows here.
+GOLDEN_TEST_REPORTS = {
+    "block": {
+        "test": "block", "n": 80, "p": 6, "partition": [1, 2, 3],
+        "log_statistic": -0.09489878925362305,
+        "mu": -0.14331400474229117, "sigma": 0.060724598942506126,
+        "z": 0.7972916467428217, "p_value": 0.7873591647270678,
+        "alpha": 0.05, "reject": False, "assumption_warnings": [],
+        "constants": {"mu_n": -0.14331400474229117, "sigma_n": 0.060724598942506126},
+    },
+    "corr": {
+        "test": "correlation", "n": 80, "p": 6,
+        "log_statistic": -0.1292712871841637,
+        "mu": -0.19443312140729407, "sigma": 0.0705527919865848,
+        "z": 0.9235897317220347, "p_value": 0.8221500189927997,
+        "alpha": 0.05, "reject": False, "assumption_warnings": [],
+        "constants": {"mu_n": -0.19443312140729407, "sigma_n": 0.0705527919865848},
+    },
+    "eqcov": {
+        "test": "eqcov", "n_sizes": [80, 80], "p": 6,
+        "log_statistic": -19.032108402387014,
+        "mu": -21.885259180245498, "sigma": 6.236133836801314,
+        "z": 0.4575191701340946, "p_value": 0.6763510366946677,
+        "alpha": 0.05, "reject": False, "assumption_warnings": [],
+        "constants": {"mu_n": -21.885259180245498, "sigma_n": 0.038975836480008214},
+    },
+}
+
+
+def test_test_commands_golden_json(tmp_path):
+    files = []
+    for k in range(2):
+        path = tmp_path / f"g{k}.csv"
+        write_repr_csv(path, sample_entry_matrix(80, 6, DistributionSpec.normal(),
+                                                 seed=17, stream=k), quoted=False)
+        files.append(str(path))
+    commands = {
+        "block": ["test", "block", "--input", files[0], "--partition", "1,2,3"],
+        "corr": ["test", "corr", "--input", files[0]],
+        "eqcov": ["test", "eqcov", "--input", files[0], "--input", files[1]],
+    }
+    for name, command in commands.items():
+        out_path = tmp_path / f"{name}.json"
+        assert run_cli(command + ["--out", str(out_path)]) == 0
+        golden = json.dumps(GOLDEN_TEST_REPORTS[name], indent=2) + "\n"
+        assert out_path.read_text() == golden, name
+
+
 # ---------------------------------------------------------------------------
 # simulate subcommands
 # ---------------------------------------------------------------------------
@@ -374,8 +423,21 @@ def test_threads_env_fallback(monkeypatch, capsys):
     monkeypatch.delenv("HDLRT_THREADS")
     assert _default_threads() == 1
     assert capsys.readouterr().err == ""
-    monkeypatch.setenv("HDLRT_THREADS", "junk")
-    assert _default_threads() == 1
+    for bad in ("junk", "0", "-3"):
+        monkeypatch.setenv("HDLRT_THREADS", bad)
+        assert _default_threads() == 1
+        assert capsys.readouterr().err == (
+            f"hdlrt: warning: ignoring HDLRT_THREADS={bad!r}, not a positive integer; "
+            "using 1 worker\n")
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_exit_2(threads, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["simulate", "level", "--test", "block", "--n", "40", "--p", "8",
+                 "--blocks", "2x4", "--reps", "10", "--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads: must be a positive integer" in capsys.readouterr().err
 
 
 def test_threads_env_bad_value_warns_once_and_keeps_output(tmp_path, monkeypatch, capsys):
@@ -387,8 +449,8 @@ def test_threads_env_bad_value_warns_once_and_keeps_output(tmp_path, monkeypatch
     assert code == 0
     assert out_path.read_text() == GOLDEN_LEVEL_CSV
     warnings = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
-    assert warnings == ["hdlrt: warning: ignoring HDLRT_THREADS='two', not an integer; "
-                        "using 1 worker"]
+    assert warnings == ["hdlrt: warning: ignoring HDLRT_THREADS='two', not a positive "
+                        "integer; using 1 worker"]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from hdlrt.errors import (
     DimensionMismatch,
     InvalidDesign,
 )
-from hdlrt.oracle import lu_log_det
+from hdlrt.oracle import naive_log_lambda2
 from hdlrt.sampling import normal_quantile
 
 mpmath = pytest.importorskip("mpmath")
@@ -85,17 +85,7 @@ def test_log_lambda2_small_instance_matches_lu_oracle():
     g1 = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0], [2.0, -1.0]])
     g2 = np.array([[1.0, 1.0], [2.0, 0.0], [0.0, 1.0], [1.0, -1.0], [3.0, 1.0]])
     sample = GroupedSample((g1, g2))
-    n1, n2, n = 4, 5, 9
-    a1 = g1.T @ g1
-    a2 = g2.T @ g2
-    pooled = a1 + a2
-    expected = 0.5 * (
-        n1 * lu_log_det(a1 / n1)[0]
-        + n2 * lu_log_det(a2 / n2)[0]
-        - n * lu_log_det(pooled / n)[0]
-    )
-    assert log_lambda2(sample) == pytest.approx(expected, rel=1e-10)
-    assert log_lambda2(sample, method="projection") == pytest.approx(expected, rel=1e-8)
+    assert log_lambda2(sample) == pytest.approx(naive_log_lambda2(sample), rel=1e-10)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -109,10 +99,9 @@ def test_log_lambda2_never_positive(seed):
 
 
 def test_log_lambda2_routes_agree(rng):
+    # the Cholesky route against the LU oracle, three groups of unequal size
     sample = GroupedSample(tuple(rng.standard_normal((nj, 6)) for nj in (20, 30, 25)))
-    a = log_lambda2(sample)
-    b = log_lambda2(sample, method="projection")
-    assert a == pytest.approx(b, rel=1e-8, abs=1e-8)
+    assert log_lambda2(sample) == pytest.approx(naive_log_lambda2(sample), rel=1e-8)
 
 
 def test_log_lambda2_transform_invariance(rng):

@@ -1,5 +1,6 @@
-"""Matrix-kernel tests: covariance, log-determinants, blocks, square roots
-(the closed-form compound-symmetry root and the oracle's reference root)."""
+"""Matrix-kernel tests: covariance, log-determinants, the oracle's block
+extraction, and square roots (the closed-form compound-symmetry root and
+the oracle's reference root)."""
 
 import math
 
@@ -18,13 +19,12 @@ from hdlrt.errors import (
 from hdlrt.linalg import (
     BlockPartition,
     compound_symmetry_sqrt,
-    extract_block,
     incremental_quad_forms,
     log_det_cholesky,
     log_det_incremental,
     sample_covariance,
 )
-from hdlrt.oracle import lu_log_det, symmetric_sqrt
+from hdlrt.oracle import extract_block, lu_log_det, symmetric_sqrt
 
 
 def random_spd(rng, d, scale=1.0):
@@ -210,7 +210,7 @@ def test_incremental_full_vs_oracle_determinant_scaling():
 
 
 # ---------------------------------------------------------------------------
-# extract_block
+# extract_block (the oracle's principal-submatrix helper)
 # ---------------------------------------------------------------------------
 
 def test_extract_block_singletons():
