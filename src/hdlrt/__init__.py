@@ -46,7 +46,6 @@ from .linalg import (
     incremental_quad_forms,
     log_det_cholesky,
     log_det_incremental,
-    sample_covariance,
 )
 from .montecarlo import (
     DEFAULT_DELTA_GRID,
@@ -65,8 +64,6 @@ from .sampling import (
     draw_entries,
     entry_generator,
     normal_cdf,
-    normal_quantile,
-    sample_entry_matrix,
 )
 
 __version__ = "0.1.0"

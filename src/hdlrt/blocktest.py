@@ -24,6 +24,7 @@ from .errors import (
     ZeroVariance,
 )
 from .linalg import (
+    _EPS,
     BlockPartition,
     _as_data_matrix,
     log_det_blocks,
@@ -31,8 +32,6 @@ from .linalg import (
     log_det_incremental,
 )
 from .sampling import normal_cdf
-
-_EPS = float(np.finfo(np.float64).eps)
 
 # Heuristic thresholds for the asymptotic-regime warnings.  The normal
 # approximation assumes p/n bounded away from 1, no block dominating the

@@ -1,5 +1,5 @@
-"""Dense matrix kernels: sample covariance, log-determinants, and the
-compound-symmetry square root.
+"""Dense matrix kernels: log-determinants and the compound-symmetry
+square root.
 
 The block and correlation statistics use the incremental route, which
 never forms a p x p matrix and instead takes the squared residual norms
@@ -114,21 +114,6 @@ def _mirror(a: np.ndarray) -> np.ndarray:
     return lower + np.tril(a, -1).T
 
 
-def sample_covariance(data) -> np.ndarray:
-    """Sample covariance (1/n) sum_k y_k y_k^T of the rows of ``data``.
-
-    No mean-centering is applied; the sampling model underlying the tests
-    fixes the mean at zero, and centering would silently change the null
-    distribution of the statistics.
-
-    Returns a p x p exactly-symmetric positive semidefinite matrix.
-    """
-    a = _as_data_matrix(data)
-    n = a.shape[0]
-    s = a.T @ a
-    return _mirror(s) / n
-
-
 def log_det_cholesky(a) -> float:
     """Log-determinant of a symmetric positive definite matrix via Cholesky.
 
@@ -179,19 +164,19 @@ def _squared_residuals(stack: np.ndarray, first_columns) -> np.ndarray:
     return quad
 
 
-def incremental_quad_forms(data, start: int = 0, stop: int | None = None) -> np.ndarray:
+def incremental_quad_forms(data) -> np.ndarray:
     """Per-step squared residual norms of the projection recursion.
 
-    For the variable vectors b_start, ..., b_{stop-1} (columns of ``data``),
-    entry j is b_i^T P b_i where P projects onto the orthogonal complement
-    of span(b_start, ..., b_{i-1}); the first entry is the plain squared
-    norm.  The product of these quadratic forms equals the determinant of
-    the scatter matrix of the selected columns.
+    For the variable vectors b_1, ..., b_p (columns of ``data``), entry i
+    is b_i^T P b_i where P projects onto the orthogonal complement of
+    span(b_1, ..., b_{i-1}); the first entry is the plain squared norm.
+    The product of these quadratic forms equals the determinant of the
+    scatter matrix X^T X.
 
     The entries are the squared diagonal of the R factor of one LAPACK
-    Householder QR of the selected columns.  QR works on the data itself,
-    so the scatter matrix, and with it the squared condition number, is
-    never formed.
+    Householder QR of the data.  QR works on the data itself, so the
+    scatter matrix, and with it the squared condition number, is never
+    formed.
 
     Raises
     ------
@@ -199,25 +184,20 @@ def incremental_quad_forms(data, start: int = 0, stop: int | None = None) -> np.
         If a residual norm underflows the rank-deficiency tolerance
         (squared norm below n * eps^2 * squared column norm).
     DimensionExceedsSample
-        If the range holds more columns than there are observations.
+        If there are more columns than observations.
     """
     a = _as_data_matrix(data)
-    p = a.shape[1]
-    if stop is None:
-        stop = p
-    if not 0 <= start <= stop <= p:
-        raise IndexError(f"column range [{start}, {stop}) outside [0, {p})")
-    return _squared_residuals(a[None, :, start:stop], [start])[0]
+    return _squared_residuals(a[None], [0])[0]
 
 
-def log_det_incremental(data, start: int = 0, stop: int | None = None) -> float:
-    """Log-determinant of the scatter matrix X^T X of a column range of
-    ``data``, accumulated as the sum of log projection quadratic forms.
+def log_det_incremental(data) -> float:
+    """Log-determinant of the scatter matrix X^T X of ``data``, accumulated
+    as the sum of log projection quadratic forms.
 
-    For the full range this equals ``log_det_cholesky`` of n times the
-    sample covariance, without ever forming the p x p matrix.
+    Equals ``log_det_cholesky`` of n times the sample covariance, without
+    ever forming the p x p matrix.
     """
-    return float(np.sum(np.log(incremental_quad_forms(data, start, stop))))
+    return float(np.sum(np.log(incremental_quad_forms(data))))
 
 
 def log_det_blocks(data, part: BlockPartition) -> float:

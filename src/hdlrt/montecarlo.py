@@ -169,6 +169,8 @@ def _run_chunk(plan: SimulationPlan, mu: float, sigma: float,
 
 def _simulate(plan: SimulationPlan, threads: int = 1) -> np.ndarray:
     """z values for all replications, indexed by replication."""
+    if threads < 1:
+        raise InvalidPlan(f"threads must be at least 1, got {threads}")
     mu, sigma = _centering(plan)
     reps = plan.reps
     if threads <= 1 or reps < 2 * threads:

@@ -5,7 +5,10 @@ of explicitly formed matrices instead of QR or Cholesky (no symmetry
 exploited), explicit least-squares projection per step instead of the
 residuals read off one Householder QR, and an eigendecomposition instead
 of the closed-form compound-symmetry square root, so that agreement
-between the routes is evidence rather than tautology.
+between the routes is evidence rather than tautology.  It also holds the
+explicitly formed sample covariance and a bisection normal quantile for
+the rejection boundary log V_n <= sigma_n * u_alpha + mu_n, which the
+library decides as Phi(z) <= alpha without forming u_alpha.
 
 Not part of the public library surface; reachable from the hidden CLI
 subcommand ``debug trace`` for inspection.
@@ -22,19 +25,49 @@ from .errors import (
     DegenerateColumn,
     DimensionExceedsSample,
     DimensionMismatch,
+    InvalidAlpha,
     NegativeEigenvalue,
     SingularMatrix,
 )
 from .eqcov import _coerce
-from .linalg import (
-    BlockPartition,
-    _as_data_matrix,
-    _check_symmetric,
-    _mirror,
-    sample_covariance,
-)
+from .linalg import _EPS, BlockPartition, _as_data_matrix, _check_symmetric, _mirror
+from .sampling import normal_cdf
 
-_EPS = float(np.finfo(np.float64).eps)
+
+def normal_quantile(alpha: float) -> float:
+    """Standard normal alpha-quantile by bisection on ``normal_cdf``.
+
+    Returns the first midpoint with Phi(mid) == alpha, or else the low end
+    once the interval cannot shrink; either way Phi(result) <= alpha, so
+    "z <= quantile(alpha)" agrees exactly with "Phi(z) <= alpha".
+    """
+    if not isinstance(alpha, (int, float)) or math.isnan(alpha):
+        raise InvalidAlpha(f"alpha must be a number in (0, 1), got {alpha!r}")
+    a = float(alpha)
+    if not 0.0 < a < 1.0:
+        raise InvalidAlpha(f"alpha must be in the open interval (0, 1), got {a}")
+    lo, hi = -40.0, 40.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo
+        cdf = normal_cdf(mid)
+        if cdf == a:
+            return mid
+        lo, hi = (mid, hi) if cdf < a else (lo, mid)
+
+
+def sample_covariance(data) -> np.ndarray:
+    """Sample covariance (1/n) sum_k y_k y_k^T of the rows of ``data``.
+
+    No mean-centering is applied; the sampling model underlying the tests
+    fixes the mean at zero, and centering would silently change the null
+    distribution of the statistics.
+
+    Returns a p x p exactly-symmetric positive semidefinite matrix.
+    """
+    a = _as_data_matrix(data)
+    return _mirror(a.T @ a) / a.shape[0]
 
 
 def lu_log_det(a) -> tuple[float, int]:

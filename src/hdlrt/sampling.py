@@ -1,4 +1,4 @@
-"""Entry-distribution sampling and standard-normal utilities.
+"""Entry-distribution sampling and the standard normal CDF.
 
 Data matrices are filled with i.i.d. mean-zero, variance-one entries from
 one of three families: standard normal, standardized Student t (the raw t
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidAlpha
+from .errors import DimensionMismatch
 
 _MASK64 = (1 << 64) - 1
 
@@ -45,8 +45,8 @@ class DistributionSpec:
             if self.df is None or self.df < 5:
                 raise ValueError("standardized t requires df >= 5")
         elif self.kind == "exponential":
-            if self.rate is None or not self.rate > 0:
-                raise ValueError("exponential requires a positive rate")
+            if self.rate is None or not (math.isfinite(self.rate) and self.rate > 0):
+                raise ValueError("exponential requires a finite positive rate")
         else:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
 
@@ -115,13 +115,6 @@ def draw_entries(rng: np.random.Generator, n: int, p: int, dist: DistributionSpe
     return -np.log1p(-u) - 1.0
 
 
-def sample_entry_matrix(
-    n: int, p: int, dist: DistributionSpec, seed: int, stream: int = 0
-) -> np.ndarray:
-    """n x p matrix of i.i.d. standardized entries keyed by (seed, stream)."""
-    return draw_entries(entry_generator(seed, stream), n, p, dist)
-
-
 def apply_root(data, root) -> np.ndarray:
     """Transform each observation row x_k of ``data`` to root @ x_k.
 
@@ -140,62 +133,3 @@ def apply_root(data, root) -> np.ndarray:
 def normal_cdf(x: float) -> float:
     """Standard normal CDF via the complementary error function."""
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
-def _normal_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
-# Rational approximation coefficients for the inverse normal CDF
-# (Acklam's minimax fit, relative error below 1.2e-9 before refinement).
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-
-_P_LOW = 0.02425
-
-
-def normal_quantile(alpha: float) -> float:
-    """Quantile of the standard normal distribution.
-
-    A rational approximation supplies the starting point; one Newton step
-    against the erfc-based CDF pushes the error of Phi(result) below
-    1e-10 (in practice to a few ulps).  The result is then adjusted by at
-    most a couple of ulps so that Phi(result) <= alpha, which makes the
-    rejection rule "z <= quantile(alpha)" agree exactly with
-    "Phi(z) <= alpha" at the boundary.
-    """
-    if not isinstance(alpha, (int, float)) or math.isnan(alpha):
-        raise InvalidAlpha(f"alpha must be a number in (0, 1), got {alpha!r}")
-    a = float(alpha)
-    if not 0.0 < a < 1.0:
-        raise InvalidAlpha(f"alpha must be in the open interval (0, 1), got {a}")
-    if a == 0.5:
-        return 0.0
-    if a < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(a))
-        x = ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-             / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    elif a <= 1.0 - _P_LOW:
-        q = a - 0.5
-        r = q * q
-        x = ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-             / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - a))
-        x = -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-              / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    pdf = _normal_pdf(x)
-    if pdf > 0.0:
-        x -= (normal_cdf(x) - a) / pdf
-    # keep the quantile on the inclusive side of the boundary
-    for _ in range(3):
-        if normal_cdf(x) <= a:
-            break
-        x = math.nextafter(x, -math.inf)
-    return x

@@ -16,9 +16,9 @@ import pytest
 
 from hdlrt.blocktest import block_constants, correlation_constants, log_det_correlation, log_vn
 from hdlrt.eqcov import GroupedSample, eqcov_test
-from hdlrt.linalg import BlockPartition, log_det_cholesky, log_det_incremental, sample_covariance
+from hdlrt.linalg import BlockPartition, log_det_cholesky, log_det_incremental
 from hdlrt.montecarlo import SimulationPlan, run_level, run_power
-from hdlrt.oracle import naive_log_vn, sigma1_closed_form
+from hdlrt.oracle import naive_log_vn, sample_covariance, sigma1_closed_form
 from conftest import DISTRIBUTIONS
 
 SIZES = [(100, 60), (120, 90), (180, 120)]

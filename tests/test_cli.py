@@ -11,7 +11,7 @@ from hdlrt.cli import _parse_csv_rows, main, parse_csv, parse_partition
 from hdlrt.errors import ParseError, RaggedRows
 from hdlrt.linalg import BlockPartition
 from hdlrt.oracle import naive_log_vn
-from hdlrt.sampling import DistributionSpec, sample_entry_matrix
+from hdlrt.sampling import DistributionSpec, draw_entries, entry_generator
 
 GOLDEN_LEVEL_CSV = (
     "delta,reps,rejections,rate,se,seed\n"
@@ -20,7 +20,7 @@ GOLDEN_LEVEL_CSV = (
 
 
 def write_data(path, n=40, p=8, seed=5):
-    data = sample_entry_matrix(n, p, DistributionSpec.normal(), seed=seed)
+    data = draw_entries(entry_generator(seed), n, p, DistributionSpec.normal())
     np.savetxt(path, data, delimiter=",")
     return data
 
@@ -241,7 +241,7 @@ def write_repr_csv(path, data, quoted):
 
 def test_test_commands_byte_identical_for_both_read_paths(tmp_path):
     """Plain cells take the loadtxt pass; quoted cells force the exact read."""
-    groups = [sample_entry_matrix(300, 40, DistributionSpec.normal(), seed=31, stream=k)
+    groups = [draw_entries(entry_generator(31, k), 300, 40, DistributionSpec.normal())
               for k in range(2)]
     paths = {}
     for quoted in (False, True):
@@ -302,8 +302,8 @@ def test_test_commands_golden_json(tmp_path):
     files = []
     for k in range(2):
         path = tmp_path / f"g{k}.csv"
-        write_repr_csv(path, sample_entry_matrix(80, 6, DistributionSpec.normal(),
-                                                 seed=17, stream=k), quoted=False)
+        data = draw_entries(entry_generator(17, k), 80, 6, DistributionSpec.normal())
+        write_repr_csv(path, data, quoted=False)
         files.append(str(path))
     commands = {
         "block": ["test", "block", "--input", files[0], "--partition", "1,2,3"],
@@ -402,6 +402,15 @@ def test_simulate_flag_kind_mismatch_exit_2(capsys):
     code = run_cli(["simulate", "level", "--test", "eqcov", "--n", "30", "--p", "6",
                     "--n-sizes", "15,15", "--reps", "5"])
     assert code == 2
+
+
+@pytest.mark.parametrize("dist", ["expinf", "exp1e400"])
+def test_simulate_infinite_exponential_rate_exit_2(dist, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["simulate", "level", "--test", "block", "--n", "40", "--p", "8",
+                 "--blocks", "2x4", "--reps", "10", "--dist", dist])
+    assert exc.value.code == 2
+    assert "finite positive rate" in capsys.readouterr().err
 
 
 def test_simulate_block_hist_with_blocks_flag(tmp_path):

@@ -18,8 +18,7 @@ from hdlrt.errors import (
     DimensionMismatch,
     InvalidDesign,
 )
-from hdlrt.oracle import naive_log_lambda2
-from hdlrt.sampling import normal_quantile
+from hdlrt.oracle import naive_log_lambda2, normal_quantile
 
 mpmath = pytest.importorskip("mpmath")
 

@@ -1,6 +1,6 @@
-"""Matrix-kernel tests: covariance, log-determinants, the oracle's block
-extraction, and square roots (the closed-form compound-symmetry root and
-the oracle's reference root)."""
+"""Matrix-kernel tests: log-determinants, the oracle's sample covariance
+and block extraction, and square roots (the closed-form compound-symmetry
+root and the oracle's reference root)."""
 
 import math
 
@@ -22,9 +22,8 @@ from hdlrt.linalg import (
     incremental_quad_forms,
     log_det_cholesky,
     log_det_incremental,
-    sample_covariance,
 )
-from hdlrt.oracle import extract_block, lu_log_det, symmetric_sqrt
+from hdlrt.oracle import extract_block, lu_log_det, sample_covariance, symmetric_sqrt
 
 
 def random_spd(rng, d, scale=1.0):
@@ -61,7 +60,7 @@ def test_partition_cumulative_strictly_increasing(sizes):
 
 
 # ---------------------------------------------------------------------------
-# sample_covariance
+# sample_covariance (the oracle's explicitly formed covariance)
 # ---------------------------------------------------------------------------
 
 def test_sample_covariance_rank_one():
@@ -169,7 +168,7 @@ def test_incremental_fixed_integer_data_matches_lu():
         gram = cols.T @ cols
         expected, sign = lu_log_det((gram + gram.T) / 2)
         assert sign == 1
-        assert log_det_incremental(data, start, stop) == pytest.approx(expected, rel=1e-10)
+        assert log_det_incremental(cols) == pytest.approx(expected, rel=1e-10)
 
 
 def test_incremental_quad_forms_are_positive(rng):

@@ -20,7 +20,8 @@ from hdlrt.montecarlo import (
     run_power_curve,
     scenario_partition,
 )
-from hdlrt.sampling import sample_entry_matrix
+from hdlrt.oracle import normal_quantile
+from hdlrt.sampling import draw_entries, entry_generator
 
 SMALL_BLOCK = dict(test="block", p=8, n=40, partition=BlockPartition((4, 4)))
 
@@ -113,7 +114,7 @@ def test_rejections_match_full_test_decisions():
     result = run_level(plan)
     flags = []
     for rep in range(plan.reps):
-        data = sample_entry_matrix(plan.n, plan.p, plan.dist, plan.seed, stream=rep)
+        data = draw_entries(entry_generator(plan.seed, rep), plan.n, plan.p, plan.dist)
         flags.append(block_test(data, plan.partition, plan.alpha).reject)
     assert result.rejections == sum(flags)
 
@@ -151,6 +152,14 @@ def test_run_level_rejects_nonzero_delta():
         run_level(small_plan(delta=0.1))
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+@pytest.mark.parametrize("run", [run_level, run_power, run_histogram, run_power_curve],
+                         ids=lambda f: f.__name__)
+def test_threads_below_one_rejected(run, threads):
+    with pytest.raises(InvalidPlan, match="threads"):
+        run(small_plan(reps=4), threads=threads)
+
+
 def test_run_power_rejects_eqcov():
     plan = SimulationPlan(test="eqcov", p=4, n_sizes=(12, 12), reps=5)
     with pytest.raises(InvalidPlan):
@@ -186,14 +195,8 @@ def test_histogram_mass_and_overflow():
 def test_ks_distance_known_values():
     # singleton at the median: max(|1 - .5|, |.5 - 0|) = 0.5
     assert ks_distance_to_normal(np.array([0.0])) == pytest.approx(0.5)
-    grid = np.array([normal_quantile_inv(i / 8) for i in range(1, 8)])
+    grid = np.array([normal_quantile(i / 8) for i in range(1, 8)])
     assert ks_distance_to_normal(grid) == pytest.approx(1.0 / 8.0, abs=1e-12)
-
-
-def normal_quantile_inv(u):
-    from hdlrt.sampling import normal_quantile
-
-    return normal_quantile(u)
 
 
 def test_eqcov_plan_runs():

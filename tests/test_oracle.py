@@ -14,7 +14,7 @@ from hdlrt.oracle import (
     naive_log_vn,
     sigma1_closed_form,
 )
-from hdlrt.sampling import DistributionSpec, sample_entry_matrix
+from hdlrt.sampling import DistributionSpec, draw_entries, entry_generator
 
 
 def random_partition(rng, p, max_q=6):
@@ -102,7 +102,7 @@ def test_trace_quad_forms_match_incremental(rng):
     assert np.allclose(trace.quad_forms, full, rtol=1e-8)
     for i in range(part.q):
         lo, hi = part.block_range(i)
-        block = incremental_quad_forms(data, lo, hi)
+        block = incremental_quad_forms(data[:, lo:hi])
         assert np.allclose(trace.block_quad_forms[lo:hi], block, rtol=1e-8)
 
 
@@ -136,7 +136,7 @@ def test_x_terms_mean_zero_over_replications():
     sums = np.zeros(len(picks))
     sums_sq = np.zeros(len(picks))
     for r in range(reps):
-        data = sample_entry_matrix(n, p, dist, seed=606, stream=r)
+        data = draw_entries(entry_generator(606, r), n, p, dist)
         x = martingale_trace(data, part).x_terms[picks]
         sums += x
         sums_sq += x * x

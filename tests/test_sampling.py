@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from hdlrt.errors import DimensionMismatch, InvalidAlpha
 from hdlrt.linalg import compound_symmetry_sqrt
+from hdlrt.oracle import normal_quantile
 from hdlrt.sampling import (
     DistributionSpec,
     apply_root,
     draw_entries,
     entry_generator,
     normal_cdf,
-    normal_quantile,
-    sample_entry_matrix,
 )
 
 BIG = 1_000_000
@@ -41,8 +40,10 @@ def test_spec_rejects_low_df():
 
 
 def test_spec_rejects_unknown():
-    with pytest.raises(ValueError):
-        DistributionSpec.parse("cauchy")
+    # "expinf" parses as a rate but an infinite rate is no distribution
+    for name in ("cauchy", "expinf"):
+        with pytest.raises(ValueError):
+            DistributionSpec.parse(name)
 
 
 # ---------------------------------------------------------------------------
@@ -50,21 +51,21 @@ def test_spec_rejects_unknown():
 # ---------------------------------------------------------------------------
 
 def test_same_key_bit_identical():
-    a = sample_entry_matrix(50, 7, DistributionSpec.standardized_t(15), seed=42, stream=3)
-    b = sample_entry_matrix(50, 7, DistributionSpec.standardized_t(15), seed=42, stream=3)
+    a = draw_entries(entry_generator(42, 3), 50, 7, DistributionSpec.standardized_t(15))
+    b = draw_entries(entry_generator(42, 3), 50, 7, DistributionSpec.standardized_t(15))
     assert np.array_equal(a, b)
 
 
 def test_different_streams_differ():
-    a = sample_entry_matrix(20, 4, DistributionSpec.normal(), seed=42, stream=0)
-    b = sample_entry_matrix(20, 4, DistributionSpec.normal(), seed=42, stream=1)
+    a = draw_entries(entry_generator(42, 0), 20, 4, DistributionSpec.normal())
+    b = draw_entries(entry_generator(42, 1), 20, 4, DistributionSpec.normal())
     assert not np.array_equal(a, b)
 
 
 def test_stream_cross_correlation_small():
     n, p = 200, 50
-    a = sample_entry_matrix(n, p, DistributionSpec.normal(), seed=9, stream=1).ravel()
-    b = sample_entry_matrix(n, p, DistributionSpec.normal(), seed=9, stream=2).ravel()
+    a = draw_entries(entry_generator(9, 1), n, p, DistributionSpec.normal()).ravel()
+    b = draw_entries(entry_generator(9, 2), n, p, DistributionSpec.normal()).ravel()
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) <= 4.0 / math.sqrt(n * p)
 
@@ -79,7 +80,7 @@ def test_stream_cross_correlation_small():
     ("exp1", DistributionSpec.centered_exponential(1.0), 9.0),
 ])
 def test_mean_and_variance_standardized(label, spec, nu4):
-    x = sample_entry_matrix(BIG, 1, spec, seed=101).ravel()
+    x = draw_entries(entry_generator(101), BIG, 1, spec).ravel()
     se_mean = 1.0 / math.sqrt(BIG)
     assert abs(x.mean()) <= 4.0 * se_mean
     se_var = math.sqrt((nu4 - 1.0) / BIG)
@@ -89,18 +90,18 @@ def test_mean_and_variance_standardized(label, spec, nu4):
 def test_t15_variance_tight():
     # fourth moment of the unit-variance t(15) is 3*(15-2)/(15-4) = 39/11,
     # so the second-moment estimator has SE sqrt((39/11 - 1)/N)
-    x = sample_entry_matrix(BIG, 1, DistributionSpec.standardized_t(15), seed=202).ravel()
+    x = draw_entries(entry_generator(202), BIG, 1, DistributionSpec.standardized_t(15)).ravel()
     se = math.sqrt((39.0 / 11.0 - 1.0) / BIG)
     assert abs(np.mean(x * x) - 1.0) <= 1.01 * 3.0 * se
 
 
 def test_t15_kurtosis():
-    x = sample_entry_matrix(BIG, 1, DistributionSpec.standardized_t(15), seed=203).ravel()
+    x = draw_entries(entry_generator(203), BIG, 1, DistributionSpec.standardized_t(15)).ravel()
     assert abs(np.mean(x ** 4) - 39.0 / 11.0) <= 0.08
 
 
 def test_exponential_moments():
-    x = sample_entry_matrix(BIG, 1, DistributionSpec.centered_exponential(1.0), seed=303).ravel()
+    x = draw_entries(entry_generator(303), BIG, 1, DistributionSpec.centered_exponential(1.0)).ravel()
     assert abs(x.mean()) <= 3e-3
     # centered moments of the standard exponential: m3 = 2, m4 = 9
     skew = np.mean(x ** 3) / np.mean(x * x) ** 1.5
@@ -109,8 +110,8 @@ def test_exponential_moments():
 
 
 def test_exponential_rate_free_after_standardizing():
-    a = sample_entry_matrix(100, 3, DistributionSpec.centered_exponential(1.0), seed=7)
-    b = sample_entry_matrix(100, 3, DistributionSpec.centered_exponential(2.5), seed=7)
+    a = draw_entries(entry_generator(7), 100, 3, DistributionSpec.centered_exponential(1.0))
+    b = draw_entries(entry_generator(7), 100, 3, DistributionSpec.centered_exponential(2.5))
     assert np.array_equal(a, b)
 
 
@@ -137,7 +138,7 @@ def test_apply_root_shape_mismatch(rng):
 def test_apply_root_reaches_target_covariance():
     delta, p, n = 0.3, 4, 200_000
     root = compound_symmetry_sqrt(delta, p)
-    x = sample_entry_matrix(n, p, DistributionSpec.normal(), seed=404)
+    x = draw_entries(entry_generator(404), n, p, DistributionSpec.normal())
     y = apply_root(x, root)
     cov = y.T @ y / n
     target = (1 - delta) * np.eye(p) + delta * np.ones((p, p))

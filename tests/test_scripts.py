@@ -1,0 +1,59 @@
+"""Smoke runs of the simulation-study scripts at tiny replication counts."""
+
+import csv
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_level_table(tmp_path, capsys):
+    out = tmp_path / "level.csv"
+    assert load_script("level_table").main(["--reps", "2", "--out", str(out)]) == 0
+    rows = read_rows(out)
+    assert rows[0] == ["dist", "scenario", "n", "p", "reps", "rejections", "rate", "se"]
+    assert len(rows) == 19  # 3 distributions x 2 scenarios x 3 sizes
+    assert f"wrote {out}" in capsys.readouterr().out
+
+
+def test_power_curves(tmp_path, capsys):
+    out = tmp_path / "power.csv"
+    code = load_script("power_curves").main(
+        ["--reps", "2", "--deltas", "0,0.1", "--out", str(out)])
+    assert code == 0
+    rows = read_rows(out)
+    assert rows[0] == ["dist", "scenario", "n", "p", "delta", "reps",
+                       "rejections", "rate", "se"]
+    assert len(rows) == 37  # 18 cells x 2 deltas
+    assert {row[4] for row in rows[1:]} == {"0.0", "0.1"}
+    assert f"wrote {out}" in capsys.readouterr().out
+
+
+def test_null_histograms(tmp_path, capsys):
+    prefix = tmp_path / "hist"
+    code = load_script("null_histograms").main(
+        ["--reps", "20", "--n", "30", "--p", "12", "--blocks", "6",
+         "--out-prefix", str(prefix)])
+    assert code == 0
+    printed = capsys.readouterr().out
+    for dist in ("normal", "t15", "exp1"):
+        bins = read_rows(f"{prefix}_{dist}_bins.csv")
+        assert bins[0] == ["lower", "upper", "count"]
+        assert len(bins) == 43  # 40 bins and two overflow bins
+        assert sum(int(row[2]) for row in bins[1:]) == 20
+        z = read_rows(f"{prefix}_{dist}_z.csv")
+        assert z[0] == ["rep", "z"]
+        assert len(z) == 21
+        assert f"{prefix}_{dist}_bins.csv" in printed
