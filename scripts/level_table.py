@@ -13,6 +13,7 @@ import sys
 import time
 
 from hdlrt import DistributionSpec, SimulationPlan, run_level
+from hdlrt.cli import _threads_arg
 
 SIZES = [(100, 60), (120, 90), (180, 120)]
 DISTS = ["normal", "t15", "exp1"]
@@ -23,7 +24,7 @@ def main(argv=None) -> int:
     parser.add_argument("--reps", type=int, default=2000)
     parser.add_argument("--alpha", type=float, default=0.05)
     parser.add_argument("--seed", type=int, default=201_000)
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=_threads_arg, default=1)
     parser.add_argument("--out", default="level_table.csv")
     args = parser.parse_args(argv)
 
@@ -36,7 +37,7 @@ def main(argv=None) -> int:
             dist=DistributionSpec.parse(dist), reps=args.reps,
             alpha=args.alpha, seed=args.seed + scenario * 10_000 + n + di * 131,
         )
-        res = run_level(plan, threads=args.threads, keep_z=False)
+        res = run_level(plan, threads=args.threads)
         rows.append([dist, scenario, n, p, args.reps, res.rejections,
                      res.rejection_rate, res.standard_error])
         print(f"{dist:7s} scenario {scenario} (n={n:3d}, p={p:3d}): "

@@ -11,6 +11,7 @@ import csv
 import sys
 
 from hdlrt import BlockPartition, DistributionSpec, SimulationPlan, run_histogram
+from hdlrt.cli import _threads_arg
 
 DISTS = ["normal", "t15", "exp1"]
 
@@ -23,7 +24,7 @@ def main(argv=None) -> int:
     parser.add_argument("--reps", type=int, default=10_000)
     parser.add_argument("--bins", type=int, default=40)
     parser.add_argument("--seed", type=int, default=20_240_802)
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=_threads_arg, default=1)
     parser.add_argument("--out-prefix", default="null_hist")
     args = parser.parse_args(argv)
 

@@ -14,6 +14,7 @@ import sys
 import time
 
 from hdlrt import DistributionSpec, SimulationPlan, run_power_curve
+from hdlrt.cli import _threads_arg
 
 SIZES = [(100, 60), (120, 90), (180, 120)]
 DISTS = ["normal", "t15", "exp1"]
@@ -24,7 +25,7 @@ def main(argv=None) -> int:
     parser.add_argument("--reps", type=int, default=2000)
     parser.add_argument("--alpha", type=float, default=0.05)
     parser.add_argument("--seed", type=int, default=103_000)
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=_threads_arg, default=1)
     parser.add_argument("--deltas", default="0,0.02,0.04,0.06,0.08,0.10,0.12",
                         help="comma list of deltas")
     parser.add_argument("--out", default="power_curves.csv")

@@ -14,7 +14,7 @@ null-distribution histograms.
 """
 
 from .blocktest import (
-    BlockTestConstants,
+    NullConstants,
     TestReport,
     block_constants,
     block_test,
@@ -23,7 +23,7 @@ from .blocktest import (
     log_det_correlation,
     log_vn,
 )
-from .eqcov import EqCovConstants, GroupedSample, eqcov_constants, eqcov_test, log_lambda2
+from .eqcov import GroupedSample, eqcov_constants, eqcov_test, log_lambda2
 from .errors import (
     DegenerateColumn,
     DimensionExceedsSample,

@@ -43,14 +43,13 @@ _MIN_BLOCK_RATE = 0.01
 
 
 @dataclass(frozen=True)
-class BlockTestConstants:
-    """Centering and scale of the null normal approximation to log V_n."""
+class NullConstants:
+    """Centering ``mu_n`` and scale ``sigma_n`` of a statistic's null normal
+    approximation, from ``block_constants``, ``correlation_constants`` or
+    ``eqcov_constants``."""
 
     mu_n: float
     sigma_n: float
-    n: int
-    p: int
-    partition: BlockPartition
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,7 @@ def log_vn(data, part: BlockPartition) -> float:
     return log_det_incremental(a) - log_det_blocks(a, part)
 
 
-def block_constants(n: int, part: BlockPartition) -> BlockTestConstants:
+def block_constants(n: int, part: BlockPartition) -> NullConstants:
     """Closed-form centering mu_n and scale sigma_n of log V_n under the null.
 
     mu_n = sum_i (n - p_i - 1/2) log(1 - p_i/n) - (n - p - 1/2) log(1 - p/n)
@@ -136,7 +135,7 @@ def block_constants(n: int, part: BlockPartition) -> BlockTestConstants:
     full_log = math.log1p(-p / n)
     mu = float(np.sum((n - sizes - 0.5) * block_logs)) - (n - p - 0.5) * full_log
     sigma_sq = 2.0 * (float(np.sum(block_logs)) - full_log)
-    return BlockTestConstants(mu_n=mu, sigma_n=math.sqrt(sigma_sq), n=n, p=p, partition=part)
+    return NullConstants(mu_n=mu, sigma_n=math.sqrt(sigma_sq))
 
 
 def _regime_warnings(n: int, part: BlockPartition) -> tuple[str, ...]:
@@ -172,7 +171,7 @@ def block_test(data, part: BlockPartition, alpha: float) -> TestReport:
     const = block_constants(a.shape[0], part)
     statistic = log_vn(a, part)
     return _standardize(statistic, const.mu_n, const.sigma_n, alpha,
-                        _regime_warnings(const.n, part))
+                        _regime_warnings(a.shape[0], part))
 
 
 def log_det_correlation(data) -> float:
@@ -195,7 +194,7 @@ def log_det_correlation(data) -> float:
     return log_vn(a, BlockPartition.unit(p))
 
 
-def correlation_constants(n: int, p: int) -> BlockTestConstants:
+def correlation_constants(n: int, p: int) -> NullConstants:
     """Centering and scale for the correlation-determinant statistic.
 
     mu_n = p (n - 3/2) log(1 - 1/n) - (n - p - 1/2) log(1 - p/n)
@@ -211,8 +210,7 @@ def correlation_constants(n: int, p: int) -> BlockTestConstants:
     full_log = math.log1p(-p / n)
     mu = p * (n - 1.5) * unit_log - (n - p - 0.5) * full_log
     sigma_sq = 2.0 * (p * unit_log - full_log)
-    return BlockTestConstants(mu_n=mu, sigma_n=math.sqrt(sigma_sq), n=n, p=p,
-                              partition=BlockPartition.unit(p))
+    return NullConstants(mu_n=mu, sigma_n=math.sqrt(sigma_sq))
 
 
 def correlation_test(data, alpha: float) -> TestReport:
@@ -223,4 +221,4 @@ def correlation_test(data, alpha: float) -> TestReport:
     const = correlation_constants(n, p)
     statistic = log_det_correlation(a)
     return _standardize(statistic, const.mu_n, const.sigma_n, alpha,
-                        _regime_warnings(n, const.partition))
+                        _regime_warnings(n, BlockPartition.unit(p)))

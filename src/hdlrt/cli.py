@@ -62,19 +62,20 @@ def _is_filled(row: list[str]) -> bool:
 def parse_csv(path: str) -> np.ndarray:
     """Read a rectangular numeric CSV as an observations-by-variables array.
 
-    Blank rows are skipped, and the first remaining row is a header when
-    none of its cells reads as a number.  The data rows below it are read
-    in one ``np.loadtxt`` pass.  When that pass raises, finds no rows or
-    yields a non-finite value, the file is re-read cell by cell with
-    ``float`` (``_parse_csv_rows``), which also accepts what ``loadtxt``
-    does not, such as quoted numbers, ``,,`` blank rows and ``1_0``.  Both
-    reads give the same array on every file the exact one accepts.
+    A leading UTF-8 byte order mark and blank rows are skipped, and the
+    first remaining row is a header when none of its cells reads as a
+    number.  The data rows below it are read in one ``np.loadtxt`` pass.
+    When that pass raises, finds no rows or yields a non-finite value, the
+    file is re-read cell by cell with ``float`` (``_parse_csv_rows``),
+    which also accepts what ``loadtxt`` does not, such as quoted numbers,
+    ``,,`` blank rows and ``1_0``.  Both reads give the same array on
+    every file the exact one accepts.
 
     Raises RaggedRows (with the 1-based file row) on width mismatches and
     ParseError on non-numeric or non-finite cells.
     """
     data = None
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         # readline, not iteration, so that tell() marks the end of the header.
         rows = filter(_is_filled, csv.reader(iter(fh.readline, "")))
         try:
@@ -103,7 +104,7 @@ def _parse_csv_rows(path: str) -> np.ndarray:
     The only place that words ParseError/RaggedRows with a file row and
     column.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = [(idx, row) for idx, row in enumerate(csv.reader(fh), start=1)
                 if _is_filled(row)]
     if not rows:
@@ -320,7 +321,7 @@ _SIM_HEADER = ["delta", "reps", "rejections", "rate", "se", "seed"]
 
 def _cmd_sim_level(args) -> int:
     plan = _build_plan(args)
-    result = run_level(plan, threads=args.threads, keep_z=False)
+    result = run_level(plan, threads=args.threads)
     rows = [_sim_row(0.0, result, plan.seed)]
     if args.format == "csv":
         _write(_csv_text(_SIM_HEADER, rows), args.out)

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionExceedsSample, DimensionMismatch, InvalidDesign
-from .blocktest import TestReport, _standardize, _validate_alpha
+from .blocktest import NullConstants, TestReport, _standardize, _validate_alpha
 # log_det_incremental is unused here; perfbench/tracing.py WRAPPED wraps this name
 from .linalg import _as_data_matrix, _mirror, log_det_cholesky, log_det_incremental
 
@@ -70,20 +70,6 @@ class GroupedSample:
         return sum(self.n_sizes)
 
 
-@dataclass(frozen=True)
-class EqCovConstants:
-    """Centering and scale of the equality-of-covariances statistic."""
-
-    mu_n: float
-    sigma_n: float
-    n_sizes: tuple[int, ...]
-    p: int
-
-    @property
-    def n(self) -> int:
-        return sum(self.n_sizes)
-
-
 def _coerce(sample) -> GroupedSample:
     if isinstance(sample, GroupedSample):
         return sample
@@ -121,7 +107,7 @@ def log_lambda2(sample) -> float:
     return 0.5 * (per_group - s.n * log_det_cholesky(pooled / s.n))
 
 
-def eqcov_constants(n_sizes: Sequence[int], p: int) -> EqCovConstants:
+def eqcov_constants(n_sizes: Sequence[int], p: int) -> NullConstants:
     """Closed-form centering and scale for the equality test.
 
     mu_n = n (n - p - 1/2) log(1 - p/n)
@@ -154,7 +140,7 @@ def eqcov_constants(n_sizes: Sequence[int], p: int) -> EqCovConstants:
     sigma_sq = 2.0 * (full_log - sum(
         (nj / n) ** 2 * lg for nj, lg in zip(sizes, group_logs)
     ))
-    return EqCovConstants(mu_n=mu, sigma_n=math.sqrt(sigma_sq), n_sizes=sizes, p=p)
+    return NullConstants(mu_n=mu, sigma_n=math.sqrt(sigma_sq))
 
 
 def _eqcov_warnings(n_sizes: tuple[int, ...], p: int) -> tuple[str, ...]:

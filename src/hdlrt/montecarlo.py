@@ -4,13 +4,12 @@ alternative, and null-distribution histograms for the three tests.
 Reproducibility contract: replication r draws from the counter-based
 stream (plan.seed, stream=r), so results are a pure function of the plan,
 independent of the number of worker processes.  Aggregates are assembled
-by replication index; ``runtime_seconds`` is the only field that varies
-between reruns, and the CLI never writes it into data outputs.
+by replication index, so every field of a result is the same on every
+rerun of the same plan.
 """
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -27,6 +26,10 @@ from .sampling import DistributionSpec, apply_root, draw_entries, entry_generato
 DEFAULT_DELTA_GRID = tuple(round(0.002 * k, 6) for k in range(11))
 
 _TESTS = ("block", "correlation", "eqcov")
+
+#: Range of the histogram's interior bins; z outside it lands in the two
+#: overflow bins.
+HISTOGRAM_RANGE = (-4.0, 4.0)
 
 
 def scenario_partition(scenario: int, p: int) -> BlockPartition:
@@ -113,21 +116,21 @@ class SimulationPlan:
 class SimulationResult:
     """Aggregate of one simulation run.
 
-    ``histogram`` is (edges, counts) where counts has two extra overflow
-    bins (below/above the edge range) and sums to ``reps``;
-    ``ks_statistic`` is the Kolmogorov-Smirnov distance of the z sample to
-    the standard normal.  ``runtime_seconds`` is informational only and is
-    excluded from emitted data files.
+    ``z_samples`` holds the standardized statistic of every replication,
+    indexed by replication.  ``histogram`` is (edges, counts) where counts
+    has two extra overflow bins (below/above ``HISTOGRAM_RANGE``) and sums
+    to ``reps``; ``ks_statistic`` is the Kolmogorov-Smirnov distance of the
+    z sample to the standard normal.  Both are set by ``run_histogram``
+    only.
     """
 
     rejection_rate: float
     standard_error: float
     rejections: int
     reps: int
-    z_samples: np.ndarray | None = None
+    z_samples: np.ndarray
     histogram: tuple[np.ndarray, np.ndarray] | None = None
     ks_statistic: float | None = None
-    runtime_seconds: float = 0.0
 
 
 def _centering(plan: SimulationPlan) -> tuple[float, float]:
@@ -194,8 +197,7 @@ def _rejections(z: np.ndarray, alpha: float) -> int:
     return int(sum(1 for v in z if normal_cdf(float(v)) <= alpha))
 
 
-def _aggregate(plan: SimulationPlan, z: np.ndarray, elapsed: float,
-               keep_z: bool) -> SimulationResult:
+def _aggregate(plan: SimulationPlan, z: np.ndarray) -> SimulationResult:
     rejections = _rejections(z, plan.alpha)
     rate = rejections / plan.reps
     return SimulationResult(
@@ -203,21 +205,18 @@ def _aggregate(plan: SimulationPlan, z: np.ndarray, elapsed: float,
         standard_error=float(np.sqrt(rate * (1.0 - rate) / plan.reps)),
         rejections=rejections,
         reps=plan.reps,
-        z_samples=z if keep_z else None,
-        runtime_seconds=elapsed,
+        z_samples=z,
     )
 
 
-def run_level(plan: SimulationPlan, threads: int = 1, keep_z: bool = True) -> SimulationResult:
+def run_level(plan: SimulationPlan, threads: int = 1) -> SimulationResult:
     """Empirical rejection rate under the null (requires delta = 0)."""
     if plan.delta != 0.0:
         raise InvalidPlan("level runs require delta = 0; use run_power for alternatives")
-    start = time.perf_counter()
-    z = _simulate(plan, threads)
-    return _aggregate(plan, z, time.perf_counter() - start, keep_z)
+    return _aggregate(plan, _simulate(plan, threads))
 
 
-def run_power(plan: SimulationPlan, threads: int = 1, keep_z: bool = True) -> SimulationResult:
+def run_power(plan: SimulationPlan, threads: int = 1) -> SimulationResult:
     """Empirical rejection rate under the compound-symmetry alternative.
 
     With delta = 0 this reduces exactly to ``run_level``.  Not defined for
@@ -226,9 +225,7 @@ def run_power(plan: SimulationPlan, threads: int = 1, keep_z: bool = True) -> Si
     """
     if plan.test == "eqcov":
         raise InvalidPlan("power simulation is defined for the block and correlation tests only")
-    start = time.perf_counter()
-    z = _simulate(plan, threads)
-    return _aggregate(plan, z, time.perf_counter() - start, keep_z)
+    return _aggregate(plan, _simulate(plan, threads))
 
 
 def run_power_curve(plan: SimulationPlan, deltas=DEFAULT_DELTA_GRID,
@@ -236,7 +233,7 @@ def run_power_curve(plan: SimulationPlan, deltas=DEFAULT_DELTA_GRID,
     """``run_power`` over a delta grid, reusing the plan's seed so the
     replications are coupled across deltas."""
     return [
-        (float(d), run_power(replace(plan, delta=float(d)), threads=threads, keep_z=False))
+        (float(d), run_power(replace(plan, delta=float(d)), threads=threads))
         for d in deltas
     ]
 
@@ -254,19 +251,17 @@ def ks_distance_to_normal(z: np.ndarray) -> float:
     return float(max(upper.max(), lower.max()))
 
 
-def run_histogram(plan: SimulationPlan, bins: int = 40, threads: int = 1,
-                  lo: float = -4.0, hi: float = 4.0) -> SimulationResult:
-    """Null run that retains the z sample, bins it over [lo, hi] with two
+def run_histogram(plan: SimulationPlan, bins: int = 40, threads: int = 1) -> SimulationResult:
+    """Null run that bins the z sample over ``HISTOGRAM_RANGE`` with two
     overflow bins, and attaches the KS distance to the standard normal."""
     if plan.delta != 0.0:
         raise InvalidPlan("histogram runs require delta = 0")
     if bins < 1:
         raise InvalidPlan(f"bins must be positive, got {bins}")
-    start = time.perf_counter()
     z = _simulate(plan, threads)
-    elapsed = time.perf_counter() - start
+    lo, hi = HISTOGRAM_RANGE
     edges = np.linspace(lo, hi, bins + 1)
     interior, _ = np.histogram(z[(z >= lo) & (z <= hi)], bins=edges)
     counts = np.concatenate(([int(np.sum(z < lo))], interior, [int(np.sum(z > hi))]))
-    result = _aggregate(plan, z, elapsed, keep_z=True)
+    result = _aggregate(plan, z)
     return replace(result, histogram=(edges, counts), ks_statistic=ks_distance_to_normal(z))

@@ -3,8 +3,9 @@
 Data matrices are filled with i.i.d. mean-zero, variance-one entries from
 one of three families: standard normal, standardized Student t (the raw t
 variate divided by sqrt(df / (df - 2)), so the variance is exactly one),
-and centered exponential (an exponential draw standardized to mean zero
-and variance one; for rate 1 this is simply the draw minus one).
+and centered exponential (a standard exponential draw minus one, which
+has mean zero and variance one).  Standardizing an exponential draw
+removes its rate, so the family has a single member.
 
 Reproducibility contract: every draw is keyed by a (seed, stream) pair
 feeding a counter-based Philox generator, so the output is a pure function
@@ -29,24 +30,20 @@ class DistributionSpec:
 
     ``kind`` is "normal", "t" (with ``df`` degrees of freedom, at least 5
     so the fourth moment margin required by the normal approximations
-    holds) or "exponential" (with ``rate``; the standardized law is the
+    holds) or "exponential" (no parameter: the standardized law is the
     same for every rate).
     """
 
     kind: str
     df: int | None = None
-    rate: float | None = None
 
     def __post_init__(self):
-        if self.kind == "normal":
-            if self.df is not None or self.rate is not None:
-                raise ValueError("normal takes no parameters")
+        if self.kind in ("normal", "exponential"):
+            if self.df is not None:
+                raise ValueError(f"{self.kind} takes no parameters")
         elif self.kind == "t":
             if self.df is None or self.df < 5:
                 raise ValueError("standardized t requires df >= 5")
-        elif self.kind == "exponential":
-            if self.rate is None or not (math.isfinite(self.rate) and self.rate > 0):
-                raise ValueError("exponential requires a finite positive rate")
         else:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
 
@@ -59,20 +56,19 @@ class DistributionSpec:
         return cls("t", df=df)
 
     @classmethod
-    def centered_exponential(cls, rate: float = 1.0) -> "DistributionSpec":
-        return cls("exponential", rate=rate)
+    def centered_exponential(cls) -> "DistributionSpec":
+        return cls("exponential")
 
     @classmethod
     def parse(cls, name: str) -> "DistributionSpec":
-        """Parse CLI-style names: "normal", "t15", "exp1"."""
+        """Parse CLI-style names: "normal", "t15", "exp1" (alias "exp")."""
         text = name.strip().lower()
         if text in ("normal", "gaussian"):
             return cls.normal()
         if text.startswith("t") and text[1:].isdigit():
             return cls.standardized_t(int(text[1:]))
-        if text.startswith("exp"):
-            rest = text[3:]
-            return cls.centered_exponential(float(rest) if rest else 1.0)
+        if text in ("exp", "exp1"):
+            return cls.centered_exponential()
         raise ValueError(f"cannot parse distribution name {name!r}")
 
     @property
@@ -81,7 +77,7 @@ class DistributionSpec:
             return "normal"
         if self.kind == "t":
             return f"t{self.df}"
-        return f"exp{self.rate:g}"
+        return "exp1"
 
 
 def entry_generator(seed: int, stream: int = 0) -> np.random.Generator:

@@ -22,7 +22,7 @@ REFERENCE_SEED = 20_240_802
 DISTRIBUTIONS = {
     "normal": DistributionSpec.normal(),
     "t15": DistributionSpec.standardized_t(15),
-    "exp1": DistributionSpec.centered_exponential(1.0),
+    "exp1": DistributionSpec.centered_exponential(),
 }
 
 

@@ -52,7 +52,7 @@ def test_criterion_01_block_level_all_cells():
         seed = 201_000 + scenario * 10_000 + n + di * 131
         plan = SimulationPlan(test="block", n=n, p=p, scenario=scenario,
                               dist=dist, reps=2000, alpha=0.05, seed=seed)
-        rate = run_level(plan, keep_z=False).rejection_rate
+        rate = run_level(plan).rejection_rate
         rates[(label, scenario, n)] = rate
         if not LEVEL_WINDOW[0] <= rate <= LEVEL_WINDOW[1]:
             failures.append((label, scenario, (n, p), rate))
@@ -89,7 +89,7 @@ def test_criterion_03_power_monotone_and_reaches_09():
     for i, delta in enumerate(POWER_DELTAS):
         plan = SimulationPlan(test="block", n=100, p=60, scenario=2, delta=delta,
                               reps=2000, alpha=0.05, seed=103_000)
-        rates.append(run_power(plan, keep_z=False).rejection_rate)
+        rates.append(run_power(plan).rejection_rate)
     monotone = all(
         rates[i + 1] >= rates[i] - 3.0 * pooled_se(rates[i], 2000, rates[i + 1], 2000)
         for i in range(len(rates) - 1)
@@ -184,7 +184,7 @@ def test_criterion_07_eqcov_level_and_shape():
     """
     plan = SimulationPlan(test="eqcov", p=60, n_sizes=(100, 100, 100),
                           reps=2000, alpha=0.05, seed=107_000)
-    rate = run_level(plan, keep_z=False).rejection_rate
+    rate = run_level(plan).rejection_rate
     level_ok = LEVEL_WINDOW[0] <= rate <= LEVEL_WINDOW[1]
     ks = {}
     for di, (label, dist) in enumerate(DISTRIBUTIONS.items()):

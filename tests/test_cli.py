@@ -100,6 +100,10 @@ PARSE_CASES = {
     "single_row": "1,2,3\n",
     "nan_after_blank_lines": "1,2\n\n\n3,nan\n",
     "ragged": "a,b\n1,2\n3\n",
+    # a UTF-8 byte order mark, as spreadsheets' "CSV UTF-8" export writes
+    "bom_header": "\ufeffa,b\n1,2\n3,4\n",
+    "bom_multi_column": "\ufeff1.0,2\n3,4\n",
+    "bom_single_column": "\ufeff1\n2\n3\n",
 }
 
 
@@ -115,7 +119,12 @@ def _read_outcome(read, path):
 def test_parse_csv_matches_exact_read(tmp_path, name):
     path = tmp_path / f"{name}.csv"
     path.write_bytes(PARSE_CASES[name].encode())
-    assert _read_outcome(parse_csv, str(path)) == _read_outcome(_parse_csv_rows, str(path))
+    outcome = _read_outcome(parse_csv, str(path))
+    assert outcome == _read_outcome(_parse_csv_rows, str(path))
+    if PARSE_CASES[name].startswith("\ufeff"):
+        plain = tmp_path / "plain.csv"
+        plain.write_bytes(PARSE_CASES[name][1:].encode())
+        assert outcome == _read_outcome(parse_csv, str(plain))
 
 
 def test_parse_csv_error_names_file_row_after_blank_lines(tmp_path):
@@ -410,7 +419,7 @@ def test_simulate_infinite_exponential_rate_exit_2(dist, capsys):
         run_cli(["simulate", "level", "--test", "block", "--n", "40", "--p", "8",
                  "--blocks", "2x4", "--reps", "10", "--dist", dist])
     assert exc.value.code == 2
-    assert "finite positive rate" in capsys.readouterr().err
+    assert f"cannot parse distribution name {dist!r}" in capsys.readouterr().err
 
 
 def test_simulate_block_hist_with_blocks_flag(tmp_path):

@@ -1,5 +1,6 @@
 """Simulation engine: determinism, scenario constructors, aggregation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from hdlrt.linalg import BlockPartition
 from hdlrt.montecarlo import (
     DEFAULT_DELTA_GRID,
     SimulationPlan,
+    SimulationResult,
     ks_distance_to_normal,
     run_histogram,
     run_level,
@@ -138,9 +140,9 @@ def test_standard_error_formula():
 def test_split_and_pool_consistent_with_single_run():
     part = BlockPartition((4, 4, 4))
     kw = dict(test="block", p=12, n=60, partition=part, alpha=0.05)
-    half1 = run_level(SimulationPlan(reps=1000, seed=1, **kw), keep_z=False)
-    half2 = run_level(SimulationPlan(reps=1000, seed=2, **kw), keep_z=False)
-    single = run_level(SimulationPlan(reps=2000, seed=3, **kw), keep_z=False)
+    half1 = run_level(SimulationPlan(reps=1000, seed=1, **kw))
+    half2 = run_level(SimulationPlan(reps=1000, seed=2, **kw))
+    single = run_level(SimulationPlan(reps=2000, seed=3, **kw))
     pooled_rate = (half1.rejections + half2.rejections) / 2000
     avg = (pooled_rate + single.rejection_rate) / 2
     pooled_se = math.sqrt(avg * (1 - avg) * (1 / 2000 + 1 / 2000))
@@ -173,8 +175,8 @@ def test_power_curve_uses_grid():
 
 
 def test_power_increases_for_strong_alternative():
-    null = run_power(small_plan(reps=200, delta=0.0), keep_z=False)
-    strong = run_power(small_plan(reps=200, delta=0.6), keep_z=False)
+    null = run_power(small_plan(reps=200, delta=0.0))
+    strong = run_power(small_plan(reps=200, delta=0.6))
     assert strong.rejection_rate > null.rejection_rate + 0.3
 
 
@@ -190,6 +192,16 @@ def test_histogram_mass_and_overflow():
     assert counts.sum() == 120
     assert np.isfinite(result.z_samples).all()
     assert result.ks_statistic is not None
+
+
+def test_result_is_pure_function_of_plan():
+    plan = small_plan(reps=24)
+    one = run_histogram(plan, bins=10, threads=1)
+    two = run_histogram(plan, bins=10, threads=2)
+    for field in dataclasses.fields(SimulationResult):
+        a, b = getattr(one, field.name), getattr(two, field.name)
+        pairs = zip(a, b) if field.name == "histogram" else [(a, b)]
+        assert all(np.array_equal(x, y) for x, y in pairs), field.name
 
 
 def test_ks_distance_known_values():
@@ -227,8 +239,8 @@ def test_scenario_2_power_at_least_scenario_1():
     # the many-singletons layout detects the equicorrelated alternative
     # at least as well as three equal blocks at matched (delta, n, p)
     kw = dict(test="block", p=60, n=100, delta=0.06, reps=2000, seed=606)
-    s1 = run_power(SimulationPlan(scenario=1, **kw), keep_z=False)
-    s2 = run_power(SimulationPlan(scenario=2, **kw), keep_z=False)
+    s1 = run_power(SimulationPlan(scenario=1, **kw))
+    s2 = run_power(SimulationPlan(scenario=2, **kw))
     bound = 3.0 * math.sqrt(
         (s1.rejection_rate + s2.rejection_rate) / 2
         * (1 - (s1.rejection_rate + s2.rejection_rate) / 2) * 2 / 2000)
@@ -247,5 +259,5 @@ def test_rate_difference_normal_vs_t15(reference_null_run):
 @pytest.mark.slow
 def test_correlation_test_level_window():
     plan = SimulationPlan(test="correlation", p=60, n=100, reps=2000, seed=42)
-    result = run_level(plan, keep_z=False)
+    result = run_level(plan)
     assert 0.035 <= result.rejection_rate <= 0.065

@@ -28,7 +28,7 @@ BIG = 1_000_000
 def test_spec_parse_round_trip():
     assert DistributionSpec.parse("normal") == DistributionSpec.normal()
     assert DistributionSpec.parse("t15") == DistributionSpec.standardized_t(15)
-    assert DistributionSpec.parse("exp1") == DistributionSpec.centered_exponential(1.0)
+    assert DistributionSpec.parse("exp1") == DistributionSpec.centered_exponential()
     assert DistributionSpec.parse("t15").label == "t15"
     assert DistributionSpec.parse("exp1").label == "exp1"
 
@@ -40,7 +40,7 @@ def test_spec_rejects_low_df():
 
 
 def test_spec_rejects_unknown():
-    # "expinf" parses as a rate but an infinite rate is no distribution
+    # exponential names carry no rate, so "expinf" is no distribution
     for name in ("cauchy", "expinf"):
         with pytest.raises(ValueError):
             DistributionSpec.parse(name)
@@ -77,7 +77,7 @@ def test_stream_cross_correlation_small():
 @pytest.mark.parametrize("label,spec,nu4", [
     ("normal", DistributionSpec.normal(), 3.0),
     ("t15", DistributionSpec.standardized_t(15), 3.0 * 13.0 / 11.0),
-    ("exp1", DistributionSpec.centered_exponential(1.0), 9.0),
+    ("exp1", DistributionSpec.centered_exponential(), 9.0),
 ])
 def test_mean_and_variance_standardized(label, spec, nu4):
     x = draw_entries(entry_generator(101), BIG, 1, spec).ravel()
@@ -101,7 +101,7 @@ def test_t15_kurtosis():
 
 
 def test_exponential_moments():
-    x = draw_entries(entry_generator(303), BIG, 1, DistributionSpec.centered_exponential(1.0)).ravel()
+    x = draw_entries(entry_generator(303), BIG, 1, DistributionSpec.centered_exponential()).ravel()
     assert abs(x.mean()) <= 3e-3
     # centered moments of the standard exponential: m3 = 2, m4 = 9
     skew = np.mean(x ** 3) / np.mean(x * x) ** 1.5
@@ -110,9 +110,15 @@ def test_exponential_moments():
 
 
 def test_exponential_rate_free_after_standardizing():
-    a = draw_entries(entry_generator(7), 100, 3, DistributionSpec.centered_exponential(1.0))
-    b = draw_entries(entry_generator(7), 100, 3, DistributionSpec.centered_exponential(2.5))
-    assert np.array_equal(a, b)
+    # standardizing removes the rate, so there is one exponential spec and
+    # a name that claims another rate is not accepted
+    specs = [DistributionSpec.parse("exp"), DistributionSpec.parse("exp1"),
+             DistributionSpec.centered_exponential()]
+    assert specs[0] == specs[1] == specs[2]
+    a, b, c = (draw_entries(entry_generator(7), 100, 3, spec) for spec in specs)
+    assert np.array_equal(a, b) and np.array_equal(a, c)
+    with pytest.raises(ValueError):
+        DistributionSpec.parse("exp2")
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import csv
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -57,3 +59,11 @@ def test_null_histograms(tmp_path, capsys):
         assert z[0] == ["rep", "z"]
         assert len(z) == 21
         assert f"{prefix}_{dist}_bins.csv" in printed
+
+
+@pytest.mark.parametrize("name", ["level_table", "power_curves", "null_histograms"])
+def test_threads_below_one_is_usage_error(name, capsys):
+    with pytest.raises(SystemExit) as exc:
+        load_script(name).main(["--threads", "0", "--reps", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
