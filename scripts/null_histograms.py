@@ -28,8 +28,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out-prefix", default="null_hist")
     args = parser.parse_args(argv)
 
-    if args.p % args.blocks:
-        parser.error("p must be divisible by the number of blocks")
+    if args.blocks < 1 or args.p % args.blocks:
+        parser.error(f"--blocks must be a positive divisor of p={args.p}, got {args.blocks}")
     part = BlockPartition.uniform(args.blocks, args.p // args.blocks)
     for dist in DISTS:
         plan = SimulationPlan(

@@ -14,7 +14,7 @@ import sys
 import time
 
 from hdlrt import DistributionSpec, SimulationPlan, run_power_curve
-from hdlrt.cli import _threads_arg
+from hdlrt.cli import _list_arg, _threads_arg
 
 SIZES = [(100, 60), (120, 90), (180, 120)]
 DISTS = ["normal", "t15", "exp1"]
@@ -26,11 +26,11 @@ def main(argv=None) -> int:
     parser.add_argument("--alpha", type=float, default=0.05)
     parser.add_argument("--seed", type=int, default=103_000)
     parser.add_argument("--threads", type=_threads_arg, default=1)
-    parser.add_argument("--deltas", default="0,0.02,0.04,0.06,0.08,0.10,0.12",
+    parser.add_argument("--deltas", type=_list_arg("delta", float),
+                        default="0,0.02,0.04,0.06,0.08,0.10,0.12",
                         help="comma list of deltas")
     parser.add_argument("--out", default="power_curves.csv")
     args = parser.parse_args(argv)
-    deltas = tuple(float(tok) for tok in args.deltas.split(","))
 
     start = time.perf_counter()
     with open(args.out, "w", newline="") as fh:
@@ -43,14 +43,14 @@ def main(argv=None) -> int:
                 dist=DistributionSpec.parse(dist), reps=args.reps,
                 alpha=args.alpha, seed=args.seed,
             )
-            curve = run_power_curve(plan, deltas=deltas, threads=args.threads)
+            curve = run_power_curve(plan, deltas=args.deltas, threads=args.threads)
             for delta, res in curve:
                 writer.writerow([dist, scenario, n, p, delta, args.reps,
                                  res.rejections, res.rejection_rate,
                                  res.standard_error])
             top = curve[-1][1].rejection_rate
             print(f"{dist:7s} scenario {scenario} (n={n:3d}, p={p:3d}): "
-                  f"rate at delta={deltas[-1]:g} is {top:.3f}")
+                  f"rate at delta={args.deltas[-1]:g} is {top:.3f}")
     print(f"wrote {args.out} [{time.perf_counter() - start:.0f}s]")
     return 0
 

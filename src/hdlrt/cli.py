@@ -8,8 +8,6 @@ Subcommands
 ``simulate level|power|hist``
     Monte Carlo runs; deterministic given ``--seed`` regardless of
     ``--threads``.
-``debug trace``
-    Projection diagnostics as CSV (inspection aid, hidden from help).
 
 Exit codes: 0 success, 1 input-file errors, 2 invalid designs or violated
 preconditions (e.g. p >= n).  Numeric output uses 17 significant digits in
@@ -20,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -27,7 +26,6 @@ import sys
 import numpy as np
 
 from .blocktest import (
-    TestReport,
     block_constants,
     block_test,
     correlation_constants,
@@ -43,7 +41,6 @@ from .montecarlo import (
     run_level,
     run_power_curve,
 )
-from .oracle import martingale_trace
 from .sampling import DistributionSpec
 
 
@@ -102,11 +99,16 @@ def _parse_csv_rows(path: str) -> np.ndarray:
     """Exact reference read behind ``parse_csv``: one ``float`` per cell.
 
     The only place that words ParseError/RaggedRows with a file row and
-    column.
+    column, or a byte that is not UTF-8 with its offset in the file.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = [(idx, row) for idx, row in enumerate(csv.reader(fh), start=1)
-                if _is_filled(row)]
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte offset {exc.start}: not valid UTF-8") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows = [(idx, row) for idx, row in enumerate(reader, start=1) if _is_filled(row)]
     if not rows:
         raise ParseError(f"{path}: no data rows")
 
@@ -164,18 +166,14 @@ def _dist_arg(text: str) -> DistributionSpec:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _sizes_arg(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad size list {text!r}") from exc
-
-
-def _deltas_arg(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad delta list {text!r}") from exc
+def _list_arg(kind: str, convert):
+    """An argparse type for a comma list of ``convert`` values, e.g. "0,0.1"."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(convert(tok) for tok in text.split(","))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad {kind} list {text!r}") from exc
+    return parse
 
 
 def _fmt(value) -> str:
@@ -202,95 +200,45 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _report_payload(kind: str, report: TestReport, constants: dict, extra: dict) -> dict:
-    payload = {"test": kind}
-    payload.update(extra)
-    payload.update(
-        log_statistic=report.log_statistic,
-        mu=report.mu,
-        sigma=report.sigma,
-        z=report.z,
-        p_value=report.p_value,
-        alpha=report.alpha,
-        reject=report.reject,
-        assumption_warnings=list(report.assumption_warnings),
-        constants=constants,
-    )
-    return payload
+_TEST_NAMES = {"block": "block", "corr": "correlation", "eqcov": "eqcov"}
 
 
-def _emit_report(payload: dict, fmt: str, out: str | None) -> None:
-    if fmt == "json":
-        _emit_json(payload, out)
-        return
-    header, row = [], []
-    for key, value in payload.items():
-        if key == "constants":
-            for ckey, cval in value.items():
-                header.append(ckey)
-                row.append(cval)
-        elif key == "assumption_warnings":
-            header.append(key)
-            row.append('"' + "; ".join(value) + '"')
-        elif key in ("partition", "n_sizes"):
-            header.append(key)
-            row.append("|".join(str(v) for v in value))
+def _cmd_test(args) -> int:
+    if args.kind == "eqcov":
+        sample = GroupedSample(tuple(parse_csv(path) for path in args.input))
+        report = eqcov_test(sample, args.alpha)
+        const = eqcov_constants(sample.n_sizes, sample.p)
+        shape = {"n_sizes": list(sample.n_sizes), "p": sample.p}
+    else:
+        data = parse_csv(args.input)
+        n, p = data.shape
+        shape = {"n": n, "p": p}
+        if args.kind == "block":
+            report = block_test(data, args.partition, args.alpha)
+            const = block_constants(n, args.partition)
+            shape["partition"] = list(args.partition.sizes)
         else:
-            header.append(key)
-            row.append(value)
-    _write(_csv_text(header, [row]), out)
-
-
-def _cmd_test_block(args) -> int:
-    data = parse_csv(args.input)
-    report = block_test(data, args.partition, args.alpha)
-    const = block_constants(data.shape[0], args.partition)
-    payload = _report_payload(
-        "block", report,
-        {"mu_n": const.mu_n, "sigma_n": const.sigma_n},
-        {"n": data.shape[0], "p": data.shape[1], "partition": list(args.partition.sizes)},
-    )
-    _emit_report(payload, args.format, args.out)
+            report = correlation_test(data, args.alpha)
+            const = correlation_constants(n, p)
+    head = {"test": _TEST_NAMES[args.kind], **shape}
+    stats = {key: getattr(report, key) for key in
+             ("log_statistic", "mu", "sigma", "z", "p_value", "alpha", "reject")}
+    warnings = list(report.assumption_warnings)
+    constants = {"mu_n": const.mu_n, "sigma_n": const.sigma_n}
+    if args.format == "json":
+        _emit_json({**head, **stats, "assumption_warnings": warnings,
+                    "constants": constants}, args.out)
+    else:
+        # One flat row: the list fields |-joined, the warnings quoted.
+        head = {k: "|".join(map(str, v)) if isinstance(v, list) else v
+                for k, v in head.items()}
+        row = {**head, **stats, "assumption_warnings": '"' + "; ".join(warnings) + '"',
+               **constants}
+        _write(_csv_text(list(row), [list(row.values())]), args.out)
     return 0
 
 
-def _cmd_test_corr(args) -> int:
-    data = parse_csv(args.input)
-    report = correlation_test(data, args.alpha)
-    const = correlation_constants(data.shape[0], data.shape[1])
-    payload = _report_payload(
-        "correlation", report,
-        {"mu_n": const.mu_n, "sigma_n": const.sigma_n},
-        {"n": data.shape[0], "p": data.shape[1]},
-    )
-    _emit_report(payload, args.format, args.out)
-    return 0
-
-
-def _cmd_test_eqcov(args) -> int:
-    groups = tuple(parse_csv(path) for path in args.input)
-    sample = GroupedSample(groups)
-    report = eqcov_test(sample, args.alpha)
-    const = eqcov_constants(sample.n_sizes, sample.p)
-    payload = _report_payload(
-        "eqcov", report,
-        {"mu_n": const.mu_n, "sigma_n": const.sigma_n},
-        {"n_sizes": list(sample.n_sizes), "p": sample.p},
-    )
-    _emit_report(payload, args.format, args.out)
-    return 0
-
-
-def _build_plan(args, delta: float = 0.0) -> SimulationPlan:
-    kw = dict(
-        test={"block": "block", "corr": "correlation", "eqcov": "eqcov"}[args.test],
-        p=args.p,
-        delta=delta,
-        dist=args.dist,
-        reps=args.reps,
-        alpha=args.alpha,
-        seed=args.seed,
-    )
+def _build_plan(args) -> SimulationPlan:
     if args.test != "block" and (args.blocks is not None or args.scenario is not None):
         raise InvalidPlan(f"--blocks/--scenario apply to the block test, not {args.test}")
     if args.test == "eqcov":
@@ -298,48 +246,39 @@ def _build_plan(args, delta: float = 0.0) -> SimulationPlan:
             raise InvalidPlan("the eqcov test takes --n-sizes, not --n")
         if args.n_sizes is None:
             raise InvalidPlan("the eqcov test requires --n-sizes")
-        kw["n_sizes"] = args.n_sizes
     else:
         if args.n_sizes is not None:
             raise InvalidPlan(f"--n-sizes applies to the eqcov test, not {args.test}")
         if args.n is None:
             raise InvalidPlan(f"the {args.test} test requires --n")
-        kw["n"] = args.n
-        if args.test == "block":
-            kw["partition"] = args.blocks
-            kw["scenario"] = args.scenario
-    return SimulationPlan(**kw)
-
-
-def _sim_row(delta: float, result, seed: int) -> list:
-    return [delta, result.reps, result.rejections, result.rejection_rate,
-            result.standard_error, seed]
+    return SimulationPlan(
+        test=_TEST_NAMES[args.test], n=args.n, n_sizes=args.n_sizes, p=args.p,
+        partition=args.blocks, scenario=args.scenario, dist=args.dist,
+        reps=args.reps, alpha=args.alpha, seed=args.seed,
+    )
 
 
 _SIM_HEADER = ["delta", "reps", "rejections", "rate", "se", "seed"]
 
 
-def _cmd_sim_level(args) -> int:
+def _cmd_sim_rates(args) -> int:
+    """``simulate level`` (the one-row curve at delta 0) and ``simulate power``."""
     plan = _build_plan(args)
-    result = run_level(plan, threads=args.threads)
-    rows = [_sim_row(0.0, result, plan.seed)]
+    if args.kind == "level":
+        curve = [(0.0, run_level(plan, threads=args.threads))]
+    else:
+        curve = run_power_curve(plan, deltas=args.deltas, threads=args.threads)
+    rows = [[delta, result.reps, result.rejections, result.rejection_rate,
+             result.standard_error, plan.seed] for delta, result in curve]
     if args.format == "csv":
         _write(_csv_text(_SIM_HEADER, rows), args.out)
     else:
-        _emit_json({"plan": _plan_payload(plan), "rows": _row_dicts(rows)}, args.out)
-    print(f"level: rate={result.rejection_rate:.4f} (se={result.standard_error:.4f})",
-          file=sys.stderr)
-    return 0
-
-
-def _cmd_sim_power(args) -> int:
-    plan = _build_plan(args)
-    curve = run_power_curve(plan, deltas=args.deltas, threads=args.threads)
-    rows = [_sim_row(delta, result, plan.seed) for delta, result in curve]
-    if args.format == "csv":
-        _write(_csv_text(_SIM_HEADER, rows), args.out)
-    else:
-        _emit_json({"plan": _plan_payload(plan), "rows": _row_dicts(rows)}, args.out)
+        _emit_json({"plan": _plan_payload(plan),
+                    "rows": [dict(zip(_SIM_HEADER, row)) for row in rows]}, args.out)
+    if args.kind == "level":
+        result = curve[0][1]
+        print(f"level: rate={result.rejection_rate:.4f} (se={result.standard_error:.4f})",
+              file=sys.stderr)
     return 0
 
 
@@ -367,22 +306,6 @@ def _cmd_sim_hist(args) -> int:
     return 0
 
 
-def _cmd_debug_trace(args) -> int:
-    data = parse_csv(args.input)
-    trace = martingale_trace(data, args.partition)
-    p1 = args.partition.sizes[0]
-    rows = []
-    for i in range(len(trace.quad_forms)):
-        x = trace.x_terms[i - p1] if i >= p1 else ""
-        xj = trace.xj_terms[i - p1] if i >= p1 else ""
-        rows.append([i + 1, float(trace.quad_forms[i]), float(trace.block_quad_forms[i]),
-                     x if x == "" else float(x), xj if xj == "" else float(xj)])
-    text = _csv_text(["i", "quad_form", "block_quad_form", "x_i", "x_ji"], rows)
-    text += f"# sigma1_sum,{_fmt(trace.sigma1_sum)}\n"
-    _write(text, args.out)
-    return 0
-
-
 def _plan_payload(plan: SimulationPlan) -> dict:
     payload = {
         "test": plan.test,
@@ -400,10 +323,6 @@ def _plan_payload(plan: SimulationPlan) -> dict:
         if plan.partition is not None:
             payload["partition"] = list(plan.partition.sizes)
     return payload
-
-
-def _row_dicts(rows: list[list]) -> list[dict]:
-    return [dict(zip(_SIM_HEADER, row)) for row in rows]
 
 
 def _threads_arg(text: str) -> int:
@@ -426,87 +345,73 @@ def _default_threads() -> int:
         return 1
 
 
-def _add_common_sim_args(parser) -> None:
-    parser.add_argument("--test", choices=["block", "corr", "eqcov"], default="block")
-    parser.add_argument("--n", type=int, help="sample size (block/corr)")
-    parser.add_argument("--n-sizes", type=_sizes_arg, dest="n_sizes",
-                        help="comma list of group sizes (eqcov)")
-    parser.add_argument("--p", type=int, required=True, help="dimension")
-    parser.add_argument("--blocks", type=parse_partition,
-                        help='partition, e.g. "30x2" or "20,20,20" (block test)')
-    parser.add_argument("--scenario", type=int, choices=[1, 2],
-                        help="stock partition layout computed from p")
-    parser.add_argument("--dist", type=_dist_arg, default=DistributionSpec.normal(),
-                        help="normal | t15 | exp1 (default normal)")
-    parser.add_argument("--reps", type=int, default=2000)
-    parser.add_argument("--alpha", type=float, default=0.05)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=_threads_arg,
-                        help="worker processes, at least 1 (default HDLRT_THREADS, "
-                             "else 1); never affects results")
-    parser.add_argument("--out", help="output path (default stdout)")
-    parser.add_argument("--format", choices=["json", "csv"], default="csv")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hdlrt",
         description="High-dimensional likelihood-ratio tests for covariance structure",
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="{test,simulate}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    report_opts = argparse.ArgumentParser(add_help=False)
+    report_opts.add_argument("--alpha", type=float, default=0.05)
+    report_opts.add_argument("--out")
+    report_opts.add_argument("--format", choices=["json", "csv"], default="json")
 
     test = sub.add_parser("test", help="run a test on CSV data")
     test_sub = test.add_subparsers(dest="kind", required=True)
 
-    tb = test_sub.add_parser("block", help="block-diagonal covariance test")
+    tb = test_sub.add_parser("block", parents=[report_opts],
+                             help="block-diagonal covariance test")
     tb.add_argument("--input", required=True, help="CSV file, rows = observations")
     tb.add_argument("--partition", type=parse_partition, required=True,
                     help='block sizes, e.g. "2,2,3" or "30x2"')
-    tb.add_argument("--alpha", type=float, default=0.05)
-    tb.add_argument("--out")
-    tb.add_argument("--format", choices=["json", "csv"], default="json")
-    tb.set_defaults(func=_cmd_test_block)
 
-    tc = test_sub.add_parser("corr", help="diagonal covariance (correlation determinant) test")
+    tc = test_sub.add_parser("corr", parents=[report_opts],
+                             help="diagonal covariance (correlation determinant) test")
     tc.add_argument("--input", required=True)
-    tc.add_argument("--alpha", type=float, default=0.05)
-    tc.add_argument("--out")
-    tc.add_argument("--format", choices=["json", "csv"], default="json")
-    tc.set_defaults(func=_cmd_test_corr)
 
-    te = test_sub.add_parser("eqcov", help="equality of group covariances test")
+    te = test_sub.add_parser("eqcov", parents=[report_opts],
+                             help="equality of group covariances test")
     te.add_argument("--input", required=True, action="append",
                     help="one CSV per group (repeat the flag)")
-    te.add_argument("--alpha", type=float, default=0.05)
-    te.add_argument("--out")
-    te.add_argument("--format", choices=["json", "csv"], default="json")
-    te.set_defaults(func=_cmd_test_eqcov)
+    test.set_defaults(func=_cmd_test)
+
+    sim_opts = argparse.ArgumentParser(add_help=False)
+    sim_opts.add_argument("--test", choices=list(_TEST_NAMES), default="block")
+    sim_opts.add_argument("--n", type=int, help="sample size (block/corr)")
+    sim_opts.add_argument("--n-sizes", type=_list_arg("size", int), dest="n_sizes",
+                          help="comma list of group sizes (eqcov)")
+    sim_opts.add_argument("--p", type=int, required=True, help="dimension")
+    sim_opts.add_argument("--blocks", type=parse_partition,
+                          help='partition, e.g. "30x2" or "20,20,20" (block test)')
+    sim_opts.add_argument("--scenario", type=int, choices=[1, 2],
+                          help="stock partition layout computed from p")
+    sim_opts.add_argument("--dist", type=_dist_arg, default=DistributionSpec.normal(),
+                          help="normal | t15 | exp1 (default normal)")
+    sim_opts.add_argument("--reps", type=int, default=2000)
+    sim_opts.add_argument("--alpha", type=float, default=0.05)
+    sim_opts.add_argument("--seed", type=int, default=0)
+    sim_opts.add_argument("--threads", type=_threads_arg,
+                          help="worker processes, at least 1 (default HDLRT_THREADS, "
+                               "else 1); never affects results")
+    sim_opts.add_argument("--out", help="output path (default stdout)")
+    sim_opts.add_argument("--format", choices=["json", "csv"], default="csv")
 
     sim = sub.add_parser("simulate", help="Monte Carlo level/power/histogram runs")
     sim_sub = sim.add_subparsers(dest="kind", required=True)
 
-    sl = sim_sub.add_parser("level", help="empirical level under the null")
-    _add_common_sim_args(sl)
-    sl.set_defaults(func=_cmd_sim_level)
+    sl = sim_sub.add_parser("level", parents=[sim_opts], help="empirical level under the null")
+    sl.set_defaults(func=_cmd_sim_rates)
 
-    sp = sim_sub.add_parser("power", help="power over a delta grid")
-    _add_common_sim_args(sp)
-    sp.add_argument("--deltas", type=_deltas_arg, default=DEFAULT_DELTA_GRID,
+    sp = sim_sub.add_parser("power", parents=[sim_opts], help="power over a delta grid")
+    sp.add_argument("--deltas", type=_list_arg("delta", float), default=DEFAULT_DELTA_GRID,
                     help="comma list of deltas (default 0,0.002,...,0.02)")
-    sp.set_defaults(func=_cmd_sim_power)
+    sp.set_defaults(func=_cmd_sim_rates)
 
-    sh = sim_sub.add_parser("hist", help="null histogram of the standardized statistic")
-    _add_common_sim_args(sh)
+    sh = sim_sub.add_parser("hist", parents=[sim_opts],
+                            help="null histogram of the standardized statistic")
     sh.add_argument("--bins", type=int, default=40)
     sh.set_defaults(func=_cmd_sim_hist)
-
-    debug = sub.add_parser("debug")
-    debug_sub = debug.add_subparsers(dest="kind", required=True)
-    dt = debug_sub.add_parser("trace")
-    dt.add_argument("--input", required=True)
-    dt.add_argument("--partition", type=parse_partition, required=True)
-    dt.add_argument("--out")
-    dt.set_defaults(func=_cmd_debug_trace)
 
     return parser
 

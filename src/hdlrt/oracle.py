@@ -10,8 +10,7 @@ explicitly formed sample covariance and a bisection normal quantile for
 the rejection boundary log V_n <= sigma_n * u_alpha + mu_n, which the
 library decides as Phi(z) <= alpha without forming u_alpha.
 
-Not part of the public library surface; reachable from the hidden CLI
-subcommand ``debug trace`` for inspection.
+Not part of the public library surface; only the tests import it.
 """
 
 from __future__ import annotations

@@ -104,6 +104,9 @@ PARSE_CASES = {
     "bom_header": "\ufeffa,b\n1,2\n3,4\n",
     "bom_multi_column": "\ufeff1.0,2\n3,4\n",
     "bom_single_column": "\ufeff1\n2\n3\n",
+    # Latin-1 bytes, which are not UTF-8: in the header and in a data cell
+    "latin1_header": b"caf\xe9,b\n1,2\n3,4\n5,6\n",
+    "latin1_cell": b"a,b\n1,2\n3,4\xe9\n5,6\n",
 }
 
 
@@ -118,10 +121,11 @@ def _read_outcome(read, path):
 @pytest.mark.parametrize("name", sorted(PARSE_CASES))
 def test_parse_csv_matches_exact_read(tmp_path, name):
     path = tmp_path / f"{name}.csv"
-    path.write_bytes(PARSE_CASES[name].encode())
+    text = PARSE_CASES[name]
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     outcome = _read_outcome(parse_csv, str(path))
     assert outcome == _read_outcome(_parse_csv_rows, str(path))
-    if PARSE_CASES[name].startswith("\ufeff"):
+    if isinstance(text, str) and text.startswith("\ufeff"):
         plain = tmp_path / "plain.csv"
         plain.write_bytes(PARSE_CASES[name][1:].encode())
         assert outcome == _read_outcome(parse_csv, str(plain))
@@ -133,6 +137,17 @@ def test_parse_csv_error_names_file_row_after_blank_lines(tmp_path):
     with pytest.raises(ParseError) as err:
         parse_csv(str(path))
     assert (err.value.row, err.value.col) == (4, 2)
+
+
+@pytest.mark.parametrize("name, offset", [("latin1_header", 3), ("latin1_cell", 11)])
+def test_non_utf8_csv_is_one_error_line_exit_1(tmp_path, name, offset):
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(PARSE_CASES[name])
+    proc = subprocess.run([sys.executable, "-m", "hdlrt.cli", "test", "corr",
+                           "--input", str(path)], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"hdlrt: error: {path}: byte offset {offset}: not valid UTF-8\n"
 
 
 def test_parse_csv_header_only_emits_no_warning(tmp_path, recwarn):
@@ -307,6 +322,32 @@ GOLDEN_TEST_REPORTS = {
 }
 
 
+# The same reports as one flat CSV row each (``--format csv``).
+GOLDEN_TEST_CSV = {
+    "block": (
+        "test,n,p,partition,log_statistic,mu,sigma,z,p_value,alpha,reject,"
+        "assumption_warnings,mu_n,sigma_n\n"
+        "block,80,6,1|2|3,-0.09489878925362305,-0.14331400474229117,0.060724598942506126,"
+        "0.79729164674282171,0.7873591647270678,0.050000000000000003,False,\"\","
+        "-0.14331400474229117,0.060724598942506126\n"
+    ),
+    "corr": (
+        "test,n,p,log_statistic,mu,sigma,z,p_value,alpha,reject,"
+        "assumption_warnings,mu_n,sigma_n\n"
+        "correlation,80,6,-0.1292712871841637,-0.19443312140729407,0.070552791986584804,"
+        "0.92358973172203473,0.82215001899279971,0.050000000000000003,False,\"\","
+        "-0.19443312140729407,0.070552791986584804\n"
+    ),
+    "eqcov": (
+        "test,n_sizes,p,log_statistic,mu,sigma,z,p_value,alpha,reject,"
+        "assumption_warnings,mu_n,sigma_n\n"
+        "eqcov,80|80,6,-19.032108402387014,-21.885259180245498,6.2361338368013142,"
+        "0.4575191701340946,0.67635103669466767,0.050000000000000003,False,\"\","
+        "-21.885259180245498,0.038975836480008214\n"
+    ),
+}
+
+
 def test_test_commands_golden_json(tmp_path):
     files = []
     for k in range(2):
@@ -324,19 +365,44 @@ def test_test_commands_golden_json(tmp_path):
         assert run_cli(command + ["--out", str(out_path)]) == 0
         golden = json.dumps(GOLDEN_TEST_REPORTS[name], indent=2) + "\n"
         assert out_path.read_text() == golden, name
+        csv_path = tmp_path / f"{name}.csv"
+        assert run_cli(command + ["--format", "csv", "--out", str(csv_path)]) == 0
+        assert csv_path.read_text() == GOLDEN_TEST_CSV[name], name
 
 
 # ---------------------------------------------------------------------------
 # simulate subcommands
 # ---------------------------------------------------------------------------
 
+# ``simulate level|power --format json`` on the block test at n=40, p=8.
+GOLDEN_SIM_JSON = {
+    "level": {
+        "plan": {"test": "block", "p": 8, "delta": 0.0, "dist": "normal", "reps": 50,
+                 "alpha": 0.05, "seed": 42, "n": 40, "partition": [4, 4]},
+        "rows": [{"delta": 0.0, "reps": 50, "rejections": 3, "rate": 0.06,
+                  "se": 0.03358571124749333, "seed": 42}],
+    },
+    "power": {
+        "plan": {"test": "block", "p": 8, "delta": 0.0, "dist": "normal", "reps": 20,
+                 "alpha": 0.05, "seed": 7, "n": 40, "partition": [4, 4]},
+        "rows": [{"delta": 0.0, "reps": 20, "rejections": 1, "rate": 0.05,
+                  "se": 0.04873397172404482, "seed": 7},
+                 {"delta": 0.3, "reps": 20, "rejections": 19, "rate": 0.95,
+                  "se": 0.04873397172404484, "seed": 7}],
+    },
+}
+
+
 def test_simulate_level_golden_csv(tmp_path):
+    command = ["simulate", "level", "--test", "block", "--n", "40", "--p", "8",
+               "--blocks", "2x4", "--reps", "50", "--seed", "42"]
     out_path = tmp_path / "level.csv"
-    code = run_cli(["simulate", "level", "--test", "block", "--n", "40", "--p", "8",
-                    "--blocks", "2x4", "--reps", "50", "--seed", "42",
-                    "--format", "csv", "--out", str(out_path)])
+    code = run_cli(command + ["--format", "csv", "--out", str(out_path)])
     assert code == 0
     assert out_path.read_text() == GOLDEN_LEVEL_CSV
+    json_path = tmp_path / "level.json"
+    assert run_cli(command + ["--format", "json", "--out", str(json_path)]) == 0
+    assert json_path.read_text() == json.dumps(GOLDEN_SIM_JSON["level"], indent=2) + "\n"
 
 
 def test_simulate_level_byte_identical_across_threads(tmp_path):
@@ -353,10 +419,13 @@ def test_simulate_level_byte_identical_across_threads(tmp_path):
 
 
 def test_simulate_power_schema_and_rates(tmp_path):
+    command = ["simulate", "power", "--test", "block", "--n", "40", "--p", "8",
+               "--blocks", "2x4", "--reps", "20", "--seed", "7", "--deltas", "0,0.3"]
+    json_path = tmp_path / "power.json"
+    assert run_cli(command + ["--format", "json", "--out", str(json_path)]) == 0
+    assert json_path.read_text() == json.dumps(GOLDEN_SIM_JSON["power"], indent=2) + "\n"
     out_path = tmp_path / "power.csv"
-    code = run_cli(["simulate", "power", "--test", "block", "--n", "40", "--p", "8",
-                    "--blocks", "2x4", "--reps", "20", "--seed", "7",
-                    "--deltas", "0,0.3", "--format", "csv", "--out", str(out_path)])
+    code = run_cli(command + ["--format", "csv", "--out", str(out_path)])
     assert code == 0
     lines = out_path.read_text().strip().splitlines()
     assert lines[0] == "delta,reps,rejections,rate,se,seed"
@@ -472,23 +541,6 @@ def test_threads_env_bad_value_warns_once_and_keeps_output(tmp_path, monkeypatch
 
 
 # ---------------------------------------------------------------------------
-# debug trace
-# ---------------------------------------------------------------------------
-
-def test_debug_trace_csv(tmp_path):
-    data_path = tmp_path / "d.csv"
-    write_data(data_path, n=20, p=6, seed=2)
-    out_path = tmp_path / "trace.csv"
-    code = run_cli(["debug", "trace", "--input", str(data_path),
-                    "--partition", "3,3", "--out", str(out_path)])
-    assert code == 0
-    lines = out_path.read_text().strip().splitlines()
-    assert lines[0] == "i,quad_form,block_quad_form,x_i,x_ji"
-    assert len(lines) == 8  # 6 rows + header + sigma1 footer
-    assert lines[-1].startswith("# sigma1_sum,")
-
-
-# ---------------------------------------------------------------------------
 # installed entry point
 # ---------------------------------------------------------------------------
 
@@ -502,3 +554,13 @@ def test_module_entry_point_runs(tmp_path):
     )
     assert proc.returncode == 0
     assert out_path.read_text().startswith("delta,reps,")
+
+
+def test_cli_does_not_import_the_oracle():
+    """The brute-force oracle is for tests; the CLI must not load it."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import hdlrt.cli, sys; assert 'hdlrt.oracle' not in sys.modules"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

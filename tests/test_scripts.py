@@ -67,3 +67,16 @@ def test_threads_below_one_is_usage_error(name, capsys):
         load_script(name).main(["--threads", "0", "--reps", "2"])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, argv, message", [
+    ("power_curves", ["--deltas", "0,x"], "bad delta list '0,x'"),
+    ("null_histograms", ["--blocks", "0"], "--blocks must be a positive divisor of p=60"),
+    ("null_histograms", ["--blocks", "-3"], "--blocks must be a positive divisor of p=60"),
+    ("null_histograms", ["--blocks", "7"], "--blocks must be a positive divisor of p=60"),
+], ids=["deltas_not_numbers", "blocks_zero", "blocks_negative", "blocks_not_divisor"])
+def test_bad_arguments_are_usage_errors(name, argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        load_script(name).main(argv + ["--reps", "2"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
