@@ -12,7 +12,7 @@ import itertools
 import sys
 import time
 
-from hdlrt import DistributionSpec, SimulationPlan, run_level
+from hdlrt import DistributionSpec, InvalidPlan, SimulationPlan, run_level
 from hdlrt.cli import _threads_arg
 
 SIZES = [(100, 60), (120, 90), (180, 120)]
@@ -32,12 +32,15 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     for (di, dist), scenario, (n, p) in itertools.product(
             enumerate(DISTS), (1, 2), SIZES):
-        plan = SimulationPlan(
-            test="block", n=n, p=p, scenario=scenario,
-            dist=DistributionSpec.parse(dist), reps=args.reps,
-            alpha=args.alpha, seed=args.seed + scenario * 10_000 + n + di * 131,
-        )
-        res = run_level(plan, threads=args.threads)
+        try:
+            plan = SimulationPlan(
+                test="block", n=n, p=p, scenario=scenario,
+                dist=DistributionSpec.parse(dist), reps=args.reps,
+                alpha=args.alpha, seed=args.seed + scenario * 10_000 + n + di * 131,
+            )
+            res = run_level(plan, threads=args.threads)
+        except InvalidPlan as exc:
+            parser.error(str(exc))
         rows.append([dist, scenario, n, p, args.reps, res.rejections,
                      res.rejection_rate, res.standard_error])
         print(f"{dist:7s} scenario {scenario} (n={n:3d}, p={p:3d}): "

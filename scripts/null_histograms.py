@@ -10,7 +10,7 @@ import argparse
 import csv
 import sys
 
-from hdlrt import BlockPartition, DistributionSpec, SimulationPlan, run_histogram
+from hdlrt import BlockPartition, DistributionSpec, InvalidPlan, SimulationPlan, run_histogram
 from hdlrt.cli import _threads_arg
 
 DISTS = ["normal", "t15", "exp1"]
@@ -32,11 +32,14 @@ def main(argv=None) -> int:
         parser.error(f"--blocks must be a positive divisor of p={args.p}, got {args.blocks}")
     part = BlockPartition.uniform(args.blocks, args.p // args.blocks)
     for dist in DISTS:
-        plan = SimulationPlan(
-            test="block", n=args.n, p=args.p, partition=part,
-            dist=DistributionSpec.parse(dist), reps=args.reps, seed=args.seed,
-        )
-        res = run_histogram(plan, bins=args.bins, threads=args.threads)
+        try:
+            plan = SimulationPlan(
+                test="block", n=args.n, p=args.p, partition=part,
+                dist=DistributionSpec.parse(dist), reps=args.reps, seed=args.seed,
+            )
+            res = run_histogram(plan, bins=args.bins, threads=args.threads)
+        except InvalidPlan as exc:
+            parser.error(str(exc))
         z_path = f"{args.out_prefix}_{dist}_z.csv"
         with open(z_path, "w", newline="") as fh:
             writer = csv.writer(fh)

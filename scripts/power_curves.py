@@ -13,7 +13,7 @@ import itertools
 import sys
 import time
 
-from hdlrt import DistributionSpec, SimulationPlan, run_power_curve
+from hdlrt import DistributionSpec, InvalidPlan, SimulationPlan, run_power_curve
 from hdlrt.cli import _list_arg, _threads_arg
 
 SIZES = [(100, 60), (120, 90), (180, 120)]
@@ -32,25 +32,29 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="power_curves.csv")
     args = parser.parse_args(argv)
 
+    rows = []
     start = time.perf_counter()
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dist", "scenario", "n", "p", "delta", "reps",
-                         "rejections", "rate", "se"])
-        for dist, scenario, (n, p) in itertools.product(DISTS, (1, 2), SIZES):
+    for dist, scenario, (n, p) in itertools.product(DISTS, (1, 2), SIZES):
+        try:
             plan = SimulationPlan(
                 test="block", n=n, p=p, scenario=scenario,
                 dist=DistributionSpec.parse(dist), reps=args.reps,
                 alpha=args.alpha, seed=args.seed,
             )
             curve = run_power_curve(plan, deltas=args.deltas, threads=args.threads)
-            for delta, res in curve:
-                writer.writerow([dist, scenario, n, p, delta, args.reps,
-                                 res.rejections, res.rejection_rate,
-                                 res.standard_error])
-            top = curve[-1][1].rejection_rate
-            print(f"{dist:7s} scenario {scenario} (n={n:3d}, p={p:3d}): "
-                  f"rate at delta={args.deltas[-1]:g} is {top:.3f}")
+        except InvalidPlan as exc:
+            parser.error(str(exc))
+        for delta, res in curve:
+            rows.append([dist, scenario, n, p, delta, args.reps,
+                         res.rejections, res.rejection_rate, res.standard_error])
+        top = curve[-1][1].rejection_rate
+        print(f"{dist:7s} scenario {scenario} (n={n:3d}, p={p:3d}): "
+              f"rate at delta={args.deltas[-1]:g} is {top:.3f}")
+    with open(args.out, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["dist", "scenario", "n", "p", "delta", "reps",
+                         "rejections", "rate", "se"])
+        writer.writerows(rows)
     print(f"wrote {args.out} [{time.perf_counter() - start:.0f}s]")
     return 0
 

@@ -6,11 +6,19 @@ stream (plan.seed, stream=r), so results are a pure function of the plan,
 independent of the number of worker processes.  Aggregates are assembled
 by replication index, so every field of a result is the same on every
 rerun of the same plan.
+
+Worker processes: a run on more than one worker splits its replications
+into chunks on a ``ProcessPoolExecutor``.  ``run_level``, ``run_power`` and
+``run_histogram`` each start their own pool and shut it down before they
+return; ``run_power_curve`` runs all of its deltas on one pool, which it
+shuts down when the curve returns or raises.
 """
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -170,6 +178,39 @@ def _run_chunk(plan: SimulationPlan, mu: float, sigma: float,
     return start, z
 
 
+# The pools of the power curve running on this thread, by worker count, or
+# None outside ``run_power_curve``.
+_curve = threading.local()
+
+
+@contextmanager
+def _pool(threads: int):
+    """A pool of ``threads`` workers: inside ``run_power_curve``, the curve's
+    pool (started on first use and left open for the next delta), else a
+    new pool shut down on exit."""
+    pools = getattr(_curve, "pools", None)
+    if pools is None:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            yield pool
+        return
+    if threads not in pools:
+        pools[threads] = ProcessPoolExecutor(max_workers=threads)
+    yield pools[threads]
+
+
+@contextmanager
+def _one_pool_per_curve():
+    """Let every ``_simulate`` on this thread inside the block share its
+    pool; shut the pools down when the block ends, however it ends."""
+    pools = _curve.pools = {}
+    try:
+        yield
+    finally:
+        _curve.pools = None
+        for pool in pools.values():
+            pool.shutdown()
+
+
 def _simulate(plan: SimulationPlan, threads: int = 1) -> np.ndarray:
     """z values for all replications, indexed by replication."""
     if threads < 1:
@@ -180,7 +221,7 @@ def _simulate(plan: SimulationPlan, threads: int = 1) -> np.ndarray:
         return _run_chunk(plan, mu, sigma, 0, reps)[1]
     z = np.empty(reps)
     bounds = np.linspace(0, reps, 4 * threads + 1, dtype=int)
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with _pool(threads) as pool:
         futures = [
             pool.submit(_run_chunk, plan, mu, sigma, int(a), int(b))
             for a, b in zip(bounds[:-1], bounds[1:])
@@ -231,11 +272,13 @@ def run_power(plan: SimulationPlan, threads: int = 1) -> SimulationResult:
 def run_power_curve(plan: SimulationPlan, deltas=DEFAULT_DELTA_GRID,
                     threads: int = 1) -> list[tuple[float, SimulationResult]]:
     """``run_power`` over a delta grid, reusing the plan's seed so the
-    replications are coupled across deltas."""
-    return [
-        (float(d), run_power(replace(plan, delta=float(d)), threads=threads))
-        for d in deltas
-    ]
+    replications are coupled across deltas.  All deltas run on one pool of
+    ``threads`` workers, shut down before the curve returns or raises."""
+    with _one_pool_per_curve():
+        return [
+            (float(d), run_power(replace(plan, delta=float(d)), threads=threads))
+            for d in deltas
+        ]
 
 
 def ks_distance_to_normal(z: np.ndarray) -> float:

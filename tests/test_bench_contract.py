@@ -55,3 +55,30 @@ def test_oracle_recompute_matches_library(cell_kw):
     run = run_power if cell.delta > 0.0 else run_level
     _, oracle = recompute.oracle_z(cell, 0, cell.reps)
     np.testing.assert_allclose(run(_plan(cell)).z_samples, oracle, rtol=0, atol=Z_TOL)
+
+
+SMALL_REPS = 6
+
+
+@pytest.mark.parametrize("name", sorted(_load("layers").STATISTIC))
+def test_traced_simulation_has_what_span_metrics_divides_by(name, tmp_path, monkeypatch):
+    # layers.span_metrics divides by the run spans' time and takes
+    # percentiles of the replication times; a call structure that leaves
+    # either empty breaks every traced benchmark run.
+    layers, tracing = _load("layers"), _load("tracing")
+    monkeypatch.setitem(sys.modules, "recompute", _load("recompute"))
+    workload = _load("workloads").WORKLOADS[name]
+    prep = workload.prepare(17, tmp_path, threads="1")
+    argv = list(prep.argv)
+    argv[argv.index("--reps") + 1] = str(SMALL_REPS)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        code, _, _ = layers.replay(argv)
+    assert code == 0
+    assert not tracer.errors
+    assert tracer.self_time(layers.RUN_SPANS)[0] > 0
+    assert tracer.replication_times(layers.STATISTIC[name])
+    if name == layers.POOL_WORKLOAD:  # one cell per delta
+        assert tracer.count("montecarlo.run_power") == len(prep.cells)
+    metrics = layers.span_metrics(name, tracer, 17, argv)
+    assert all(np.isfinite(v).all() for v in metrics.values())

@@ -2,12 +2,14 @@
 
 import dataclasses
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hdlrt import montecarlo
 from hdlrt.blocktest import block_test
 from hdlrt.errors import InvalidPlan
 from hdlrt.linalg import BlockPartition
@@ -172,6 +174,82 @@ def test_power_curve_uses_grid():
     curve = run_power_curve(small_plan(reps=30), deltas=(0.0, 0.3))
     assert [d for d, _ in curve] == [0.0, 0.3]
     assert all(r.reps == 30 for _, r in curve)
+
+
+# ---------------------------------------------------------------------------
+# worker pools: one per power curve, one per lone run
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Every pool montecarlo starts, and the ones shut down, counted by a
+    subclass put in place of ``montecarlo.ProcessPoolExecutor``."""
+    started, shut = [], []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+        def shutdown(self, *args, **kwargs):
+            shut.append(self)
+            return super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+    return started, shut
+
+
+def _no_shared_pool_left(started, shut):
+    return getattr(montecarlo._curve, "pools", None) is None and set(started) <= set(shut)
+
+
+def test_power_curve_starts_one_pool(pools):
+    started, shut = pools
+    curve = run_power_curve(small_plan(reps=12), deltas=(0.0, 0.2, 0.4), threads=2)
+    assert len(curve) == 3
+    assert len(started) == 1
+    assert _no_shared_pool_left(started, shut)
+
+
+def test_pooled_power_curve_equals_serial_curve(pools):
+    plan = small_plan(reps=12)
+    serial = run_power_curve(plan, deltas=(0.0, 0.2, 0.4), threads=1)
+    pooled = run_power_curve(plan, deltas=(0.0, 0.2, 0.4), threads=2)
+    assert len(pools[0]) == 1
+    assert [d for d, _ in serial] == [d for d, _ in pooled]
+    for (_, one), (_, two) in zip(serial, pooled):
+        for field in dataclasses.fields(SimulationResult):
+            assert np.array_equal(getattr(one, field.name), getattr(two, field.name)), field.name
+
+
+def test_power_curve_raising_mid_curve_shuts_its_pool(pools):
+    started, shut = pools
+    with pytest.raises(InvalidPlan, match="delta"):
+        run_power_curve(small_plan(reps=12), deltas=(0.0, 1.5), threads=2)
+    assert len(started) == 1
+    assert _no_shared_pool_left(started, shut)
+
+
+@pytest.mark.parametrize("run", [run_level, run_power, run_histogram],
+                         ids=lambda f: f.__name__)
+def test_lone_run_starts_and_shuts_its_own_pool(pools, run):
+    started, shut = pools
+    run(small_plan(reps=12), threads=2)
+    run(small_plan(reps=12), threads=2)
+    assert len(started) == 2
+    assert _no_shared_pool_left(started, shut)
+
+
+@pytest.mark.parametrize("plan, threads", [
+    (SimulationPlan(test="eqcov", p=4, n_sizes=(12, 12), reps=12), 2),
+    (small_plan(reps=12), 0),
+], ids=["eqcov", "threads_0"])
+@pytest.mark.parametrize("run", [run_power, run_power_curve], ids=lambda f: f.__name__)
+def test_invalid_plan_raises_before_any_pool(pools, run, plan, threads):
+    with pytest.raises(InvalidPlan):
+        run(plan, threads=threads)
+    assert pools[0] == []
+    assert getattr(montecarlo._curve, "pools", None) is None
 
 
 def test_power_increases_for_strong_alternative():

@@ -74,9 +74,20 @@ def test_threads_below_one_is_usage_error(name, capsys):
     ("null_histograms", ["--blocks", "0"], "--blocks must be a positive divisor of p=60"),
     ("null_histograms", ["--blocks", "-3"], "--blocks must be a positive divisor of p=60"),
     ("null_histograms", ["--blocks", "7"], "--blocks must be a positive divisor of p=60"),
-], ids=["deltas_not_numbers", "blocks_zero", "blocks_negative", "blocks_not_divisor"])
-def test_bad_arguments_are_usage_errors(name, argv, message, capsys):
+    ("level_table", ["--reps", "0"], "reps must be positive, got 0"),
+    ("level_table", ["--alpha", "2"], "alpha must be in (0, 1), got 2.0"),
+    ("power_curves", ["--reps", "0"], "reps must be positive, got 0"),
+    ("power_curves", ["--deltas", "0,1.5"], "delta must be in [0, 1), got 1.5"),
+    ("null_histograms", ["--n", "10"], "requires n > p, got n=10, p=60"),
+    ("null_histograms", ["--reps", "0"], "reps must be positive, got 0"),
+    ("null_histograms", ["--bins", "0"], "bins must be positive, got 0"),
+], ids=["deltas_not_numbers", "blocks_zero", "blocks_negative", "blocks_not_divisor",
+        "level_reps_zero", "level_alpha_two", "power_reps_zero", "power_delta_above_one",
+        "hist_n_below_p", "hist_reps_zero", "hist_bins_zero"])
+def test_bad_arguments_are_usage_errors(name, argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the scripts' default output paths are relative
     with pytest.raises(SystemExit) as exc:
-        load_script(name).main(argv + ["--reps", "2"])
+        load_script(name).main(["--reps", "2"] + argv)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
