@@ -7,6 +7,10 @@ sample covariance S and its diagonal blocks S_ii.  Under the null it is
 asymptotically normal with closed-form centering mu_n and scale sigma_n,
 and the test rejects for small values: log V_n <= sigma_n * u_alpha + mu_n
 with u_alpha the standard normal alpha-quantile.
+
+``log_vn`` and ``log_det_correlation`` also take a stack (k, n, p) of data
+matrices, as the Monte Carlo engine passes them, and then return an array
+of k values, each bit for bit the value of that slice on its own.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from .linalg import (
     _EPS,
     BlockPartition,
     _as_data_matrix,
-    log_det_blocks,
+    _as_result,
+    _block_log_dets,
     log_det_cholesky,  # unused here; perfbench/tracing.py WRAPPED wraps this name
     log_det_incremental,
 )
@@ -95,8 +100,9 @@ def _standardize(log_statistic: float, mu: float, sigma: float, alpha: float,
     )
 
 
-def log_vn(data, part: BlockPartition) -> float:
-    """Log of the determinant-ratio statistic V_n = |S| / prod_i |S_ii|.
+def log_vn(data, part: BlockPartition):
+    """Log of the determinant-ratio statistic V_n = |S| / prod_i |S_ii|;
+    an array of k values for a stack (k, n, p).
 
     Always <= 0 (Fischer's inequality), with equality exactly when the
     off-diagonal blocks of the sample covariance vanish.
@@ -107,13 +113,13 @@ def log_vn(data, part: BlockPartition) -> float:
     distinct block size, without forming the p x p covariance.  The LU
     reference for the test suite is ``hdlrt.oracle.naive_log_vn``.
     """
-    a = _as_data_matrix(data)
-    n, p = a.shape
+    a = _as_data_matrix(data, stack=True)
+    n, p = a.shape[-2:]
     if part.p != p:
         raise DimensionMismatch(f"partition p={part.p} does not match data p={p}")
     if p >= n:
         raise DimensionExceedsSample(f"the statistic requires p < n, got p={p}, n={n}")
-    return log_det_incremental(a) - log_det_blocks(a, part)
+    return _as_result(log_det_incremental(a) - _block_log_dets(a, part))
 
 
 def block_constants(n: int, part: BlockPartition) -> NullConstants:
@@ -174,8 +180,9 @@ def block_test(data, part: BlockPartition, alpha: float) -> TestReport:
                         _regime_warnings(a.shape[0], part))
 
 
-def log_det_correlation(data) -> float:
-    """Log-determinant of the (uncentered) sample correlation matrix.
+def log_det_correlation(data):
+    """Log-determinant of the (uncentered) sample correlation matrix; an
+    array of k values for a stack (k, n, p).
 
     Algebraically identical to ``log_vn`` with the all-singleton
     partition, and computed through it.
@@ -183,13 +190,13 @@ def log_det_correlation(data) -> float:
     Raises ZeroVariance if a diagonal entry of the sample covariance is
     zero to within a relative tolerance.
     """
-    a = _as_data_matrix(data)
-    n, p = a.shape
+    a = _as_data_matrix(data, stack=True)
+    n, p = a.shape[-2:]
     if p >= n:
         raise DimensionExceedsSample(f"requires p < n, got p={p}, n={n}")
-    diag = np.einsum("ij,ij->j", a, a) / n
-    top = float(np.max(diag))
-    if top <= 0.0 or bool(np.any(diag <= _EPS * top)):
+    diag = np.einsum("...ij,...ij->...j", a, a) / n
+    top = np.max(diag, axis=-1, keepdims=True)
+    if np.any(top <= 0.0) or np.any(diag <= _EPS * top):
         raise ZeroVariance("a variable has (numerically) zero variance")
     return log_vn(a, BlockPartition.unit(p))
 

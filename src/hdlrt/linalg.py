@@ -9,12 +9,19 @@ terms come from one batched QR per distinct block size.  The
 equality-of-covariances statistic uses the Cholesky route on explicitly
 formed scatter matrices.  ``hdlrt.oracle`` holds the LU reference.
 
+Stacks: the incremental-route kernels also take a stack (k, n, p) of data
+matrices and then return an array of k values, each bit for bit the value
+the kernel returns for that slice on its own; one n x p matrix gives a
+float.  A stack raises if any of its slices would; with one failing slice
+the error is the one that slice raises alone.
+
 All determinants are handled in log space throughout; the raw determinant
 ratios underflow already for moderate dimensions.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -79,24 +86,51 @@ class BlockPartition:
         """q blocks of equal size."""
         return cls((size,) * q)
 
-    @classmethod
-    def unit(cls, p: int) -> "BlockPartition":
+    @staticmethod
+    @functools.lru_cache(maxsize=16)
+    def unit(p: int) -> "BlockPartition":
         """p singleton blocks; turns the block statistic into the
-        correlation-determinant statistic."""
-        return cls((1,) * p)
+        correlation-determinant statistic.  Cached, with its ``gather``."""
+        return BlockPartition((1,) * p)
+
+    @functools.cached_property
+    def gather(self) -> tuple[tuple[tuple[int, ...], slice | np.ndarray], ...]:
+        """Per distinct block size, in order of first appearance: the first
+        columns of the blocks of that size, and the column index that
+        gathers all of them.  Adjacent blocks get a slice, so indexing
+        gives a view, not a copy; others a read-only (blocks, size) array.
+        Built on first use and kept with the partition."""
+        starts_by_size: dict[int, list[int]] = {}
+        for lo, size in zip(self.cumulative, self.sizes):
+            starts_by_size.setdefault(size, []).append(lo)
+        groups = []
+        for size, starts in starts_by_size.items():
+            if starts[-1] - starts[0] == size * (len(starts) - 1):
+                index = slice(starts[0], starts[-1] + size)
+            else:
+                index = np.add.outer(starts, np.arange(size))
+                index.setflags(write=False)  # shared by every user of the partition
+            groups.append((tuple(starts), index))
+        return tuple(groups)
 
 
-def _as_data_matrix(data) -> np.ndarray:
-    """Validate and coerce an observations-by-variables array."""
+def _as_data_matrix(data, stack: bool = False) -> np.ndarray:
+    """Validate and coerce an observations-by-variables array, or with
+    ``stack`` also a stack (k, n, p) of them."""
     a = np.asarray(data, dtype=np.float64)
-    if a.ndim != 2:
-        raise DimensionMismatch(f"data must be 2-d (n x p), got shape {a.shape}")
-    n, p = a.shape
-    if n < 1 or p < 1:
+    if a.ndim != 2 and not (stack and a.ndim == 3):
+        kinds = "2-d (n x p) or a stack (k x n x p)" if stack else "2-d (n x p)"
+        raise DimensionMismatch(f"data must be {kinds}, got shape {a.shape}")
+    if a.size == 0:
         raise DimensionMismatch(f"data must be non-empty, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("data contains non-finite entries")
     return a
+
+
+def _as_result(values):
+    """One matrix's value as a float; a stack's values as their array."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def _check_symmetric(a) -> np.ndarray:
@@ -139,26 +173,34 @@ def log_det_cholesky(a) -> float:
 
 
 def _squared_residuals(stack: np.ndarray, first_columns) -> np.ndarray:
-    """Squared diagonal of the R factor of each n x s slice of ``stack``.
+    """Squared diagonal of the R factor of each n x s matrix in ``stack``.
 
-    ``stack`` has shape (k, n, s); one batched Householder QR factors every
-    slice.  R_jj^2 is the squared residual of column j of a slice after
+    ``stack`` has shape (..., k, n, s); one batched Householder QR factors
+    every matrix, and the diagonal is read from LAPACK's raw Householder
+    output.  R_jj^2 is the squared residual of column j of a matrix after
     projection onto the orthogonal complement of its predecessors in that
-    slice.  ``first_columns[i]`` is the data column of slice i's first
-    column, used to name the first degenerate column.  Returns shape (k, s).
+    matrix.  ``first_columns[i]`` is the data column of the first column of
+    the matrices at position i of the k axis, used to name the first
+    degenerate column.
+
+    Returns a C-contiguous array of shape (..., k, s).  The strided
+    diagonal is copied before it is squared: then summing the last axes
+    runs in numpy's pairwise order, the order of a lone matrix's sum, and a
+    stack gives bit for bit the values of its slices.
     """
-    _, n, s = stack.shape
+    n, s = stack.shape[-2:]
     if s > n:
         raise DimensionExceedsSample(
             f"{s} columns cannot be linearly independent with n={n} observations"
         )
-    quad = np.square(np.diagonal(np.linalg.qr(stack, mode="r"), axis1=-2, axis2=-1))
-    norms = np.einsum("kij,kij->kj", stack, stack)
+    h, _ = np.linalg.qr(stack, mode="raw")
+    quad = np.square(np.ascontiguousarray(np.diagonal(h, axis1=-2, axis2=-1)))
+    norms = np.einsum("...ij,...ij->...j", stack, stack)
     bad = (norms == 0.0) | (quad < n * _EPS * _EPS * norms)
     if bad.any():
-        i, j = np.argwhere(bad)[0]
-        col = first_columns[i] + int(j)
-        if norms[i, j] == 0.0:
+        where = tuple(np.argwhere(bad)[0])
+        col = first_columns[where[-2]] + int(where[-1])
+        if norms[where] == 0.0:
             raise DegenerateColumn(f"column {col} is identically zero")
         raise DegenerateColumn(f"column {col} is numerically dependent on its predecessors")
     return quad
@@ -171,7 +213,7 @@ def incremental_quad_forms(data) -> np.ndarray:
     is b_i^T P b_i where P projects onto the orthogonal complement of
     span(b_1, ..., b_{i-1}); the first entry is the plain squared norm.
     The product of these quadratic forms equals the determinant of the
-    scatter matrix X^T X.
+    scatter matrix X^T X.  Shape (p,), or (k, p) for a stack (k, n, p).
 
     The entries are the squared diagonal of the R factor of one LAPACK
     Householder QR of the data.  QR works on the data itself, so the
@@ -186,39 +228,44 @@ def incremental_quad_forms(data) -> np.ndarray:
     DimensionExceedsSample
         If there are more columns than observations.
     """
-    a = _as_data_matrix(data)
-    return _squared_residuals(a[None], [0])[0]
+    a = _as_data_matrix(data, stack=True)
+    return _squared_residuals(a[..., None, :, :], [0])[..., 0, :]
 
 
-def log_det_incremental(data) -> float:
+def log_det_incremental(data):
     """Log-determinant of the scatter matrix X^T X of ``data``, accumulated
-    as the sum of log projection quadratic forms.
+    as the sum of log projection quadratic forms; an array of k values for
+    a stack (k, n, p).
 
     Equals ``log_det_cholesky`` of n times the sample covariance, without
     ever forming the p x p matrix.
     """
-    return float(np.sum(np.log(incremental_quad_forms(data))))
+    return _as_result(np.log(incremental_quad_forms(data)).sum(axis=-1))
 
 
-def log_det_blocks(data, part: BlockPartition) -> float:
+def log_det_blocks(data, part: BlockPartition):
     """Sum over the blocks of ``part`` of the log-determinants of the block
-    scatter matrices X_i^T X_i.
+    scatter matrices X_i^T X_i; an array of k values for a stack (k, n, p).
 
     Blocks of equal size are stacked and factored by one batched QR, so
     the cost is one LAPACK call per distinct block size rather than one
     per block.  Raises like ``incremental_quad_forms`` on each block.
     """
-    a = _as_data_matrix(data)
-    if part.p != a.shape[1]:
-        raise DimensionMismatch(f"partition p={part.p} does not match data p={a.shape[1]}")
-    starts_by_size: dict[int, list[int]] = {}
-    for lo, size in zip(part.cumulative, part.sizes):
-        starts_by_size.setdefault(size, []).append(lo)
+    a = _as_data_matrix(data, stack=True)
+    if part.p != a.shape[-1]:
+        raise DimensionMismatch(f"partition p={part.p} does not match data p={a.shape[-1]}")
+    return _as_result(_block_log_dets(a, part))
+
+
+def _block_log_dets(a: np.ndarray, part: BlockPartition):
+    """``log_det_blocks`` of validated data: a scalar, or one value per
+    slice of a stack."""
     total = 0.0
-    for size, starts in starts_by_size.items():
-        columns = np.add.outer(starts, np.arange(size))
-        stack = a[:, columns].transpose(1, 0, 2)
-        total += float(np.sum(np.log(_squared_residuals(stack, starts))))
+    for starts, index in part.gather:
+        blocks = a[..., index].reshape(a.shape[:-1] + (len(starts), -1))
+        stack = np.moveaxis(blocks, -3, -2)  # (..., blocks, n, size)
+        logs = np.log(_squared_residuals(stack, starts))
+        total = total + logs.reshape(logs.shape[:-2] + (-1,)).sum(axis=-1)
     return total
 
 

@@ -115,11 +115,14 @@ def apply_root(data, root) -> np.ndarray:
     """Transform each observation row x_k of ``data`` to root @ x_k.
 
     Used to impose a target covariance root^2 on white data.  With the
-    identity root it returns the input unchanged.
+    identity root it returns the input unchanged.  ``data`` is n x p, or a
+    stack (k, n, p) whose slices are transformed bit for bit as each would
+    be on its own.
     """
     a = np.asarray(data, dtype=np.float64)
     r = np.asarray(root, dtype=np.float64)
-    if a.ndim != 2 or r.ndim != 2 or r.shape[0] != r.shape[1] or r.shape[0] != a.shape[1]:
+    if (a.ndim not in (2, 3) or r.ndim != 2 or r.shape[0] != r.shape[1]
+            or r.shape[0] != a.shape[-1]):
         raise DimensionMismatch(
             f"root of shape {r.shape} does not match data of shape {a.shape}"
         )

@@ -81,4 +81,10 @@ def test_traced_simulation_has_what_span_metrics_divides_by(name, tmp_path, monk
     if name == layers.POOL_WORKLOAD:  # one cell per delta
         assert tracer.count("montecarlo.run_power") == len(prep.cells)
     metrics = layers.span_metrics(name, tracer, 17, argv)
+    # a wrapped name the engine no longer calls leaves its series empty, and
+    # np.isfinite([]).all() holds; only block_constants is pooled across
+    # workloads and called in some of them alone
+    empty = [metric for metric, values in metrics.items()
+             if not len(values) and metric != "blocktest.block_constants.us"]
+    assert not empty
     assert all(np.isfinite(v).all() for v in metrics.values())

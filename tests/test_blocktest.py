@@ -24,7 +24,12 @@ from hdlrt.errors import (
     InvalidDesign,
     ZeroVariance,
 )
-from hdlrt.linalg import BlockPartition, log_det_blocks, log_det_incremental
+from hdlrt.linalg import (
+    BlockPartition,
+    compound_symmetry_sqrt,
+    log_det_blocks,
+    log_det_incremental,
+)
 from hdlrt.oracle import naive_log_vn, normal_quantile
 from hdlrt.sampling import normal_cdf
 
@@ -358,6 +363,71 @@ def test_correlation_test_matches_block_unit_partition(rng):
     block = block_test(data, BlockPartition.unit(12), 0.05)
     assert corr.z == pytest.approx(block.z, abs=1e-10)
     assert corr.reject == block.reject
+
+
+# ---------------------------------------------------------------------------
+# stacks (k, n, p): bit for bit the values and errors of their slices
+# ---------------------------------------------------------------------------
+
+STACK_PARTITIONS = {
+    "30x2": BlockPartition.uniform(30, 2),
+    "20,10,30": BlockPartition((20, 10, 30)),
+    "singletons": BlockPartition.unit(60),
+    "25,5,25,5": BlockPartition((25, 5, 25, 5)),  # equal sizes apart: gathered by index
+}
+
+
+def correlated_stack(k=3, n=90, p=60):
+    # compound-symmetric rows, as a power run draws them
+    x = np.random.default_rng(k).standard_normal((k, n, p))
+    return x @ compound_symmetry_sqrt(0.3, p).T
+
+
+@pytest.mark.parametrize("label", list(STACK_PARTITIONS))
+def test_log_vn_stack_equals_its_slices_bit_for_bit(label):
+    # a sum over a strided diagonal runs in another order than a lone
+    # matrix's pairwise sum, and moves blocks of 8 or more columns
+    part = STACK_PARTITIONS[label]
+    stack = correlated_stack()
+    alone = [log_vn(x, part) for x in stack]
+    assert all(isinstance(v, float) for v in alone)
+    got = log_vn(stack, part)
+    assert isinstance(got, np.ndarray) and got.shape == (3,)
+    assert np.array_equal(got, alone)
+    assert np.array_equal(log_vn(stack[:1], part), alone[:1])
+
+
+def test_log_det_correlation_stack_equals_its_slices_bit_for_bit():
+    stack = correlated_stack()
+    got = log_det_correlation(stack)
+    assert got.shape == (3,)
+    assert np.array_equal(got, [log_det_correlation(x) for x in stack])
+
+
+@pytest.mark.parametrize("damage", ["dependent", "zero"])
+def test_stack_raises_what_its_failing_slice_raises(damage):
+    part = BlockPartition((20, 10, 30))
+    stack = correlated_stack()
+    if damage == "dependent":
+        stack[1, :, 47] = -2.0 * stack[1, :, 35]  # both in the third block
+    else:
+        stack[1, :, 47] = 0.0
+    for kernel in (lambda d: log_vn(d, part), lambda d: log_det_blocks(d, part)):
+        with pytest.raises(DegenerateColumn) as alone:
+            kernel(stack[1])
+        with pytest.raises(DegenerateColumn) as stacked:
+            kernel(stack)
+        assert "column 47 " in str(alone.value)
+        assert str(stacked.value) == str(alone.value)
+
+
+def test_stack_raises_zero_variance_like_its_slice():
+    stack = correlated_stack()
+    stack[2, :, 5] = 0.0
+    with pytest.raises(ZeroVariance):
+        log_det_correlation(stack[2])
+    with pytest.raises(ZeroVariance):
+        log_det_correlation(stack)
 
 
 # ---------------------------------------------------------------------------

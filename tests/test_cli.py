@@ -1,5 +1,6 @@
 """CLI end-to-end tests: CSV parsing, report emission, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -416,6 +417,39 @@ def test_simulate_level_byte_identical_across_threads(tmp_path):
         assert code == 0
         outputs.append(out_path.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+# Outputs captured before replications were batched.  Both runs end their
+# chunks and batches unevenly: odd reps, a lone last replication.
+GOLDEN_UNEVEN_BATCHES = {
+    "block_hist": (
+        ["simulate", "hist", "--test", "block", "--n", "90", "--p", "60",
+         "--blocks", "20,10,30", "--dist", "exp1", "--reps", "101", "--format", "json"],
+        "sha256:737b1506d59d2b3a0bb93268b90f00e32a3c064fba93d28dbf5c7bc5854645f3",
+    ),
+    "corr_power": (
+        ["simulate", "power", "--test", "corr", "--n", "100", "--p", "60", "--reps", "33",
+         "--seed", "8", "--deltas", "0,0.01,0.02,0.03", "--format", "csv"],
+        "delta,reps,rejections,rate,se,seed\n"
+        "0,33,1,0.030303030303030304,0.02984036144953521,8\n"
+        "0.01,33,3,0.090909090909090912,0.050043807505743665,8\n"
+        "0.02,33,3,0.090909090909090912,0.050043807505743665,8\n"
+        "0.029999999999999999,33,6,0.18181818181818182,0.067140813261454213,8\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_UNEVEN_BATCHES))
+def test_simulate_uneven_batches_golden_across_threads(tmp_path, name):
+    command, golden = GOLDEN_UNEVEN_BATCHES[name]
+    for threads in (1, 2, 3):
+        out_path = tmp_path / f"{name}{threads}.out"
+        assert run_cli(command + ["--threads", str(threads), "--out", str(out_path)]) == 0
+        out = out_path.read_bytes()
+        if golden.startswith("sha256:"):
+            assert "sha256:" + hashlib.sha256(out).hexdigest() == golden, threads
+        else:
+            assert out.decode() == golden, threads
 
 
 def test_simulate_power_schema_and_rates(tmp_path):

@@ -10,9 +10,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hdlrt import montecarlo
-from hdlrt.blocktest import block_test
+from hdlrt.blocktest import (
+    block_constants,
+    block_test,
+    correlation_constants,
+    log_det_correlation,
+    log_vn,
+)
 from hdlrt.errors import InvalidPlan
-from hdlrt.linalg import BlockPartition
+from hdlrt.linalg import BlockPartition, compound_symmetry_sqrt
 from hdlrt.montecarlo import (
     DEFAULT_DELTA_GRID,
     SimulationPlan,
@@ -25,7 +31,7 @@ from hdlrt.montecarlo import (
     scenario_partition,
 )
 from hdlrt.oracle import normal_quantile
-from hdlrt.sampling import draw_entries, entry_generator
+from hdlrt.sampling import DistributionSpec, apply_root, draw_entries, entry_generator
 
 SMALL_BLOCK = dict(test="block", p=8, n=40, partition=BlockPartition((4, 4)))
 
@@ -111,6 +117,30 @@ def test_delta_zero_power_equals_level():
     level = run_level(small_plan(reps=40))
     power = run_power(small_plan(reps=40, delta=0.0))
     assert np.array_equal(level.z_samples, power.z_samples)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("plan", [
+    SimulationPlan(test="block", n=40, p=12, partition=BlockPartition((8, 4)), reps=13,
+                   seed=5, dist=DistributionSpec.centered_exponential()),
+    SimulationPlan(test="correlation", n=30, p=8, delta=0.2, reps=13, seed=6),
+], ids=["block", "correlation_delta"])
+def test_batched_z_equals_one_replication_at_a_time(plan, threads):
+    # odd reps and uneven chunks leave batches of one at chunk ends
+    if plan.test == "block":
+        const = block_constants(plan.n, plan.partition)
+    else:
+        const = correlation_constants(plan.n, plan.p)
+    root = compound_symmetry_sqrt(plan.delta, plan.p)
+    expected = []
+    for rep in range(plan.reps):
+        x = draw_entries(entry_generator(plan.seed, rep), plan.n, plan.p, plan.dist)
+        if plan.test == "block":
+            statistic = log_vn(x, plan.partition)
+        else:
+            statistic = log_det_correlation(apply_root(x, root))
+        expected.append((statistic - const.mu_n) / const.sigma_n)
+    assert np.array_equal(run_power(plan, threads=threads).z_samples, expected)
 
 
 def test_rejections_match_full_test_decisions():

@@ -141,6 +141,16 @@ def test_apply_root_shape_mismatch(rng):
         apply_root(rng.standard_normal((5, 3)), np.eye(4))
 
 
+def test_apply_root_stack_equals_its_slices_bit_for_bit(rng):
+    stack = rng.standard_normal((3, 90, 60))
+    root = compound_symmetry_sqrt(0.02, 60)
+    got = apply_root(stack, root)
+    assert got.shape == stack.shape
+    assert np.array_equal(got, [apply_root(x, root) for x in stack])
+    with pytest.raises(DimensionMismatch):
+        apply_root(stack[None], root)
+
+
 def test_apply_root_reaches_target_covariance():
     delta, p, n = 0.3, 4, 200_000
     root = compound_symmetry_sqrt(delta, p)
