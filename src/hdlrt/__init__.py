@@ -33,11 +33,9 @@ from .errors import (
     InvalidAlpha,
     InvalidDesign,
     InvalidPlan,
-    NegativeEigenvalue,
     NotPositiveDefinite,
     ParseError,
     RaggedRows,
-    SingularMatrix,
     ZeroVariance,
 )
 from .linalg import (

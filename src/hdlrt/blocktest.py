@@ -174,6 +174,8 @@ def block_test(data, part: BlockPartition, alpha: float) -> TestReport:
     """
     alpha = _validate_alpha(alpha)
     a = _as_data_matrix(data)
+    if part.p != a.shape[1]:  # here, or the constants' p < n check names the partition's p
+        raise DimensionMismatch(f"partition p={part.p} does not match data p={a.shape[1]}")
     const = block_constants(a.shape[0], part)
     statistic = log_vn(a, part)
     return _standardize(statistic, const.mu_n, const.sigma_n, alpha,

@@ -54,10 +54,6 @@ class GroupedSample:
         object.__setattr__(self, "groups", groups)
 
     @property
-    def q(self) -> int:
-        return len(self.groups)
-
-    @property
     def p(self) -> int:
         return self.groups[0].shape[1]
 

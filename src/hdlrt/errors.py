@@ -19,14 +19,6 @@ class DegenerateColumn(HdlrtError):
     """A variable vector is (numerically) in the span of its predecessors."""
 
 
-class NegativeEigenvalue(HdlrtError):
-    """A matrix required to be positive semidefinite has a negative eigenvalue."""
-
-
-class SingularMatrix(HdlrtError):
-    """LU elimination hit a pivot below tolerance."""
-
-
 class DimensionExceedsSample(HdlrtError):
     """The dimension p is too large for the available sample size."""
 

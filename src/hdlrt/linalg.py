@@ -1,13 +1,16 @@
-"""Dense matrix kernels: log-determinants and the compound-symmetry
-square root.
+"""Dense matrix kernels: log-determinants, the block partition, and the
+compound-symmetry square root.
 
 The block and correlation statistics use the incremental route, which
 never forms a p x p matrix and instead takes the squared residual norms
 of each variable projected onto the orthogonal complement of its
-predecessors from the R factor of a Householder QR of the data; block
-terms come from one batched QR per distinct block size.  The
-equality-of-covariances statistic uses the Cholesky route on explicitly
-formed scatter matrices.  ``hdlrt.oracle`` holds the LU reference.
+predecessors from the R factor of a Householder QR of the data
+(``log_det_incremental``).  The block terms come from one batched QR per
+distinct block size in the private ``_block_log_dets``, which only
+``hdlrt.blocktest.log_vn`` calls, after validating the data against the
+partition.  The equality-of-covariances statistic uses the Cholesky route
+on explicitly formed scatter matrices (``log_det_cholesky``).
+``hdlrt.oracle`` holds the LU reference.
 
 Stacks: the incremental-route kernels also take a stack (k, n, p) of data
 matrices and then return an array of k values, each bit for bit the value
@@ -74,12 +77,6 @@ class BlockPartition:
     def p(self) -> int:
         """Total dimension, sum of the block sizes."""
         return self.cumulative[-1]
-
-    def block_range(self, i: int) -> tuple[int, int]:
-        """Half-open column range [start, stop) of block ``i`` (0-based)."""
-        if not 0 <= i < self.q:
-            raise IndexError(f"block index {i} outside [0, {self.q})")
-        return self.cumulative[i], self.cumulative[i + 1]
 
     @classmethod
     def uniform(cls, q: int, size: int) -> "BlockPartition":
@@ -243,23 +240,15 @@ def log_det_incremental(data):
     return _as_result(np.log(incremental_quad_forms(data)).sum(axis=-1))
 
 
-def log_det_blocks(data, part: BlockPartition):
+def _block_log_dets(a: np.ndarray, part: BlockPartition):
     """Sum over the blocks of ``part`` of the log-determinants of the block
-    scatter matrices X_i^T X_i; an array of k values for a stack (k, n, p).
+    scatter matrices X_i^T X_i of validated data whose p matches the
+    partition; a scalar, or one value per slice of a stack (k, n, p).
 
     Blocks of equal size are stacked and factored by one batched QR, so
     the cost is one LAPACK call per distinct block size rather than one
     per block.  Raises like ``incremental_quad_forms`` on each block.
     """
-    a = _as_data_matrix(data, stack=True)
-    if part.p != a.shape[-1]:
-        raise DimensionMismatch(f"partition p={part.p} does not match data p={a.shape[-1]}")
-    return _as_result(_block_log_dets(a, part))
-
-
-def _block_log_dets(a: np.ndarray, part: BlockPartition):
-    """``log_det_blocks`` of validated data: a scalar, or one value per
-    slice of a stack."""
     total = 0.0
     for starts, index in part.gather:
         blocks = a[..., index].reshape(a.shape[:-1] + (len(starts), -1))

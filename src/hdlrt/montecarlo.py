@@ -75,10 +75,12 @@ class SimulationPlan:
     """Descriptor of one simulation experiment.
 
     ``test`` is "block", "correlation" or "eqcov".  Block plans need ``n``
-    and a partition (directly or through ``scenario``); correlation plans
-    need ``n`` only; eqcov plans need ``n_sizes``.  ``delta`` selects the
-    compound-symmetry alternative (1-delta) I + delta * ones, with
-    delta = 0 the null.
+    and a partition of at least two blocks (directly or through
+    ``scenario``); correlation plans need ``n`` only; eqcov plans need
+    ``n_sizes``, at least two groups each with n_j > p.  ``delta`` selects
+    the compound-symmetry alternative (1-delta) I + delta * ones, with
+    delta = 0 the null.  A plan that cannot run raises ``InvalidPlan`` when
+    it is built.
     """
 
     test: str
@@ -110,6 +112,11 @@ class SimulationPlan:
             object.__setattr__(self, "n_sizes", tuple(int(v) for v in self.n_sizes))
             if self.partition is not None or self.scenario is not None:
                 raise InvalidPlan("eqcov plans take no partition")
+            if len(self.n_sizes) < 2:
+                raise InvalidPlan(f"at least two groups required, got {len(self.n_sizes)}")
+            if any(nj <= self.p for nj in self.n_sizes):
+                raise InvalidPlan(
+                    f"every group needs n_j > p, got sizes {self.n_sizes} with p={self.p}")
             return
         if self.n is None or self.n_sizes is not None:
             raise InvalidPlan(f"{self.test} plans take n, not n_sizes")
@@ -129,6 +136,8 @@ class SimulationPlan:
             raise InvalidPlan(f"partition p={part.p} does not match plan p={self.p}")
         if self.scenario is not None and part != scenario_partition(self.scenario, self.p):
             raise InvalidPlan("explicit partition contradicts the scenario")
+        if part.q < 2:
+            raise InvalidPlan(f"at least two blocks required, got q={part.q}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,7 +8,9 @@ of the closed-form compound-symmetry square root, so that agreement
 between the routes is evidence rather than tautology.  It also holds the
 explicitly formed sample covariance and a bisection normal quantile for
 the rejection boundary log V_n <= sigma_n * u_alpha + mu_n, which the
-library decides as Phi(z) <= alpha without forming u_alpha.
+library decides as Phi(z) <= alpha without forming u_alpha, and the two
+error classes that only these references raise (``SingularMatrix``,
+``NegativeEigenvalue``).
 
 Not part of the public library surface; only the tests import it.
 """
@@ -24,13 +26,20 @@ from .errors import (
     DegenerateColumn,
     DimensionExceedsSample,
     DimensionMismatch,
+    HdlrtError,
     InvalidAlpha,
-    NegativeEigenvalue,
-    SingularMatrix,
 )
 from .eqcov import _coerce
 from .linalg import _EPS, BlockPartition, _as_data_matrix, _check_symmetric, _mirror
 from .sampling import normal_cdf
+
+
+class NegativeEigenvalue(HdlrtError):
+    """A matrix required to be positive semidefinite has a negative eigenvalue."""
+
+
+class SingularMatrix(HdlrtError):
+    """LU elimination hit a pivot below tolerance."""
 
 
 def normal_quantile(alpha: float) -> float:
@@ -110,7 +119,9 @@ def extract_block(a, part: BlockPartition, i: int) -> np.ndarray:
         raise DimensionMismatch(
             f"matrix of size {m.shape[0]} does not match partition p={part.p}"
         )
-    lo, hi = part.block_range(i)
+    if not 0 <= i < part.q:
+        raise IndexError(f"block index {i} outside [0, {part.q})")
+    lo, hi = part.cumulative[i:i + 2]
     return m[lo:hi, lo:hi].copy()
 
 
@@ -192,7 +203,7 @@ def sigma1_closed_form(n: int, part: BlockPartition) -> float:
     column i's block."""
     total = 0.0
     for g in range(1, part.q):
-        lo, hi = part.block_range(g)
+        lo, hi = part.cumulative[g:g + 2]
         shift = part.cumulative[g]
         for i in range(lo + 1, hi + 1):  # 1-based column index
             dof = n - i + 1
@@ -216,7 +227,7 @@ def martingale_trace(data, part: BlockPartition) -> DiagnosticTrace:
     block_quad = np.empty(p)
     starts = np.empty(p, dtype=int)
     for g in range(part.q):
-        lo, hi = part.block_range(g)
+        lo, hi = part.cumulative[g:g + 2]
         starts[lo:hi] = lo
     for i in range(p):
         b = a[:, i]

@@ -134,7 +134,7 @@ def test_criterion_05_block_diagonal_transform_invariance():
     for _ in range(50):
         transform = np.zeros((24, 24))
         for i, size in enumerate(part.sizes):
-            lo, hi = part.block_range(i)
+            lo, hi = part.cumulative[i:i + 2]
             g = rng.standard_normal((size, size))
             transform[lo:hi, lo:hi] = g @ g.T + 0.5 * size * np.eye(size)
         worst = max(worst, abs(log_vn(data @ transform.T, part) - base))

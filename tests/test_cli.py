@@ -218,6 +218,18 @@ def test_corr_dimension_error_exit_2(tmp_path, capsys):
     assert "p < n" in captured.err
 
 
+@pytest.mark.parametrize("n, partition, message", [
+    (100, "60x2", "partition p=120 does not match data p=60"),
+    (50, "30x2", "requires 2 <= p < n, got p=60, n=50"),
+], ids=["partition_p_not_data_p", "p_not_below_n"])
+def test_block_partition_errors_exit_2(tmp_path, capsys, n, partition, message):
+    data_path = tmp_path / "d.csv"
+    write_data(data_path, n=n, p=60)
+    code = run_cli(["test", "block", "--input", str(data_path), "--partition", partition])
+    assert code == 2
+    assert capsys.readouterr().err == f"hdlrt: error: {message}\n"
+
+
 def test_missing_file_exit_1(capsys):
     code = run_cli(["test", "corr", "--input", "/nonexistent/nope.csv"])
     assert code == 1
@@ -590,11 +602,24 @@ def test_module_entry_point_runs(tmp_path):
     assert out_path.read_text().startswith("delta,reps,")
 
 
-def test_cli_does_not_import_the_oracle():
-    """The brute-force oracle is for tests; the CLI must not load it."""
+def test_cli_does_not_import_the_oracle(tmp_path):
+    """The brute-force oracle is for tests; the CLI must not load it, not
+    even lazily on a command's path."""
+    data_path = tmp_path / "d.csv"
+    write_data(data_path)
+    commands = [
+        ["test", "block", "--input", str(data_path), "--partition", "4,4",
+         "--out", str(tmp_path / "test.json")],
+        ["simulate", "level", "--test", "block", "--n", "20", "--p", "4",
+         "--blocks", "2x2", "--reps", "4", "--out", str(tmp_path / "level.json")],
+    ]
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import hdlrt.cli, sys; assert 'hdlrt.oracle' not in sys.modules"],
+         "import sys; from hdlrt.cli import main\n"
+         f"for argv in {commands!r}:\n"
+         "    assert main(argv) == 0, argv\n"
+         "assert 'hdlrt.oracle' not in sys.modules"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "test.json").exists() and (tmp_path / "level.json").exists()

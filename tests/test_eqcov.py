@@ -50,7 +50,7 @@ def well_conditioned_invertible(rng, p, spread=2.0):
 
 def test_grouped_sample_properties(rng):
     s = GroupedSample((rng.standard_normal((10, 3)), rng.standard_normal((12, 3))))
-    assert s.q == 2
+    assert len(s.groups) == 2
     assert s.p == 3
     assert s.n_sizes == (10, 12)
     assert s.n == 22

@@ -94,6 +94,20 @@ def test_plan_validation():
         SimulationPlan(test="block", p=8, n=40, partition=BlockPartition((4, 4)), reps=0)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(test="block", p=8, n=40, partition=BlockPartition((8,))),
+     "at least two blocks required, got q=1"),
+    (dict(test="eqcov", p=10, n_sizes=(50,)), "at least two groups required, got 1"),
+    (dict(test="eqcov", p=10, n_sizes=(50, 8)),
+     "every group needs n_j > p, got sizes (50, 8) with p=10"),
+], ids=["one_block", "one_group", "group_not_above_p"])
+def test_plan_rejects_what_cannot_run(kwargs, message):
+    # the constants' own wording, which `hdlrt simulate` prints as its error line
+    with pytest.raises(InvalidPlan) as exc:
+        SimulationPlan(**kwargs)
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------

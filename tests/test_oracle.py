@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from hdlrt.blocktest import block_constants, log_vn
-from hdlrt.errors import SingularMatrix
 from hdlrt.linalg import BlockPartition, incremental_quad_forms, log_det_cholesky
 from hdlrt.oracle import (
+    SingularMatrix,
     lu_log_det,
     martingale_trace,
     naive_log_vn,
@@ -101,7 +101,7 @@ def test_trace_quad_forms_match_incremental(rng):
     full = incremental_quad_forms(data)
     assert np.allclose(trace.quad_forms, full, rtol=1e-8)
     for i in range(part.q):
-        lo, hi = part.block_range(i)
+        lo, hi = part.cumulative[i:i + 2]
         block = incremental_quad_forms(data[:, lo:hi])
         assert np.allclose(trace.block_quad_forms[lo:hi], block, rtol=1e-8)
 
