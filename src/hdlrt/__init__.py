@@ -1,8 +1,9 @@
 """High-dimensional likelihood-ratio tests for covariance structure.
 
 Three tests, all standardized against closed-form normal approximations
-that hold without a normality assumption on the data (finite fourth
-moment plus a margin suffices):
+that hold without a normality assumption for data of the form
+x = Sigma^{1/2} y, with i.i.d. entries in y (a finite fourth moment plus a
+margin) and a known mean of zero:
 
 * block-diagonal covariance (``block_test``),
 * diagonal covariance via the correlation determinant (``correlation_test``),

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,7 +58,10 @@ class BlockPartition:
     cumulative: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
+        try:
+            sizes = tuple(operator.index(s) for s in self.sizes)
+        except TypeError:
+            raise ValueError(f"block sizes must be integers, got {self.sizes!r}") from None
         if not sizes:
             raise ValueError("partition needs at least one block")
         if any(s < 1 for s in sizes):

@@ -2,10 +2,11 @@
 alternative, and null-distribution histograms for the three tests.
 
 Reproducibility contract: replication r draws from the counter-based
-stream (plan.seed, stream=r), so results are a pure function of the plan,
-independent of the number of worker processes.  Aggregates are assembled
-by replication index, so every field of a result is the same on every
-rerun of the same plan.
+stream (plan.seed, stream=r), and its z is standardized by the ``mu`` and
+``sigma`` the plan computes when it is built, so results are a pure
+function of the plan, independent of the number of worker processes.
+Aggregates are assembled by replication index, so every field of a result
+is the same on every rerun of the same plan.
 
 Batches: block and correlation replications are evaluated ``_BATCH`` at a
 time.  Each is drawn from its own stream into one preallocated stack
@@ -23,16 +24,17 @@ shuts down when the curve returns or raises.
 
 from __future__ import annotations
 
+import operator
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .blocktest import block_constants, correlation_constants, log_det_correlation, log_vn
 from .eqcov import GroupedSample, eqcov_constants, log_lambda2
-from .errors import InvalidPlan
+from .errors import InvalidDesign, InvalidPlan
 from .linalg import BlockPartition, compound_symmetry_sqrt
 from .sampling import DistributionSpec, apply_root, draw_entries, entry_generator, normal_cdf
 
@@ -70,6 +72,13 @@ def scenario_partition(scenario: int, p: int) -> BlockPartition:
     raise InvalidPlan(f"scenario must be 1 or 2, got {scenario}")
 
 
+def _integer(name: str, value) -> int:
+    try:  # numpy integers pass; a float is refused, not truncated
+        return operator.index(value)
+    except TypeError:
+        raise InvalidPlan(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SimulationPlan:
     """Descriptor of one simulation experiment.
@@ -79,8 +88,11 @@ class SimulationPlan:
     ``scenario``); correlation plans need ``n`` only; eqcov plans need
     ``n_sizes``, at least two groups each with n_j > p.  ``delta`` selects
     the compound-symmetry alternative (1-delta) I + delta * ones, with
-    delta = 0 the null.  A plan that cannot run raises ``InvalidPlan`` when
-    it is built.
+    delta = 0 the null.  Sizes, ``p``, ``reps`` and ``seed`` are integers.
+    ``mu`` and ``sigma``, the read-only centering and scale of the statistic
+    the engine stores (eqcov: mu_n and n sigma_n), are set when the plan is
+    built; a plan that cannot run, one the constants reject included,
+    raises ``InvalidPlan`` then.
     """
 
     test: str
@@ -94,10 +106,14 @@ class SimulationPlan:
     reps: int = 2000
     alpha: float = 0.05
     seed: int = 0
+    mu: float = field(init=False, repr=False, compare=False)
+    sigma: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.test not in _TESTS:
             raise InvalidPlan(f"test must be one of {_TESTS}, got {self.test!r}")
+        for name in ("p", "reps", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.reps < 1:
             raise InvalidPlan(f"reps must be positive, got {self.reps}")
         if not 0.0 < self.alpha < 1.0:
@@ -106,38 +122,39 @@ class SimulationPlan:
             raise InvalidPlan(f"delta must be in [0, 1), got {self.delta}")
         if self.p < 2:
             raise InvalidPlan(f"p must be at least 2, got {self.p}")
+        if self.test != "block" and (self.partition is not None or self.scenario is not None):
+            raise InvalidPlan(f"{self.test} plans take no partition")
         if self.test == "eqcov":
             if self.n_sizes is None or self.n is not None:
                 raise InvalidPlan("eqcov plans take n_sizes, not n")
-            object.__setattr__(self, "n_sizes", tuple(int(v) for v in self.n_sizes))
-            if self.partition is not None or self.scenario is not None:
-                raise InvalidPlan("eqcov plans take no partition")
-            if len(self.n_sizes) < 2:
-                raise InvalidPlan(f"at least two groups required, got {len(self.n_sizes)}")
-            if any(nj <= self.p for nj in self.n_sizes):
-                raise InvalidPlan(
-                    f"every group needs n_j > p, got sizes {self.n_sizes} with p={self.p}")
-            return
-        if self.n is None or self.n_sizes is not None:
-            raise InvalidPlan(f"{self.test} plans take n, not n_sizes")
-        if self.n <= self.p:
-            raise InvalidPlan(f"requires n > p, got n={self.n}, p={self.p}")
-        if self.test == "correlation":
-            if self.partition is not None or self.scenario is not None:
-                raise InvalidPlan("correlation plans take no partition")
-            return
-        part = self.partition
-        if part is None:
-            if self.scenario is None:
-                raise InvalidPlan("block plans need a partition or a scenario")
-            part = scenario_partition(self.scenario, self.p)
-            object.__setattr__(self, "partition", part)
-        if part.p != self.p:
-            raise InvalidPlan(f"partition p={part.p} does not match plan p={self.p}")
-        if self.scenario is not None and part != scenario_partition(self.scenario, self.p):
-            raise InvalidPlan("explicit partition contradicts the scenario")
-        if part.q < 2:
-            raise InvalidPlan(f"at least two blocks required, got q={part.q}")
+            object.__setattr__(self, "n_sizes", tuple(_integer("n_j", v) for v in self.n_sizes))
+            constants, args, scale = eqcov_constants, (self.n_sizes, self.p), sum(self.n_sizes)
+        else:
+            if self.n is None or self.n_sizes is not None:
+                raise InvalidPlan(f"{self.test} plans take n, not n_sizes")
+            object.__setattr__(self, "n", _integer("n", self.n))
+            if self.n <= self.p:
+                raise InvalidPlan(f"requires n > p, got n={self.n}, p={self.p}")
+            if self.test == "correlation":
+                constants, args, scale = correlation_constants, (self.n, self.p), 1
+            else:
+                part = self.partition
+                if part is None:
+                    if self.scenario is None:
+                        raise InvalidPlan("block plans need a partition or a scenario")
+                    part = scenario_partition(self.scenario, self.p)
+                    object.__setattr__(self, "partition", part)
+                if part.p != self.p:
+                    raise InvalidPlan(f"partition p={part.p} does not match plan p={self.p}")
+                if self.scenario is not None and part != scenario_partition(self.scenario, self.p):
+                    raise InvalidPlan("explicit partition contradicts the scenario")
+                constants, args, scale = block_constants, (self.n, part), 1
+        try:
+            const = constants(*args)
+        except InvalidDesign as exc:
+            raise InvalidPlan(str(exc)) from exc
+        object.__setattr__(self, "mu", const.mu_n)
+        object.__setattr__(self, "sigma", scale * const.sigma_n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,20 +178,7 @@ class SimulationResult:
     ks_statistic: float | None = None
 
 
-def _centering(plan: SimulationPlan) -> tuple[float, float]:
-    """(mu, sigma) of the stored statistic for the plan's test."""
-    if plan.test == "block":
-        const = block_constants(plan.n, plan.partition)
-        return const.mu_n, const.sigma_n
-    if plan.test == "correlation":
-        const = correlation_constants(plan.n, plan.p)
-        return const.mu_n, const.sigma_n
-    const = eqcov_constants(plan.n_sizes, plan.p)
-    return const.mu_n, sum(plan.n_sizes) * const.sigma_n
-
-
-def _run_chunk(plan: SimulationPlan, mu: float, sigma: float,
-               start: int, stop: int) -> tuple[int, np.ndarray]:
+def _run_chunk(plan: SimulationPlan, start: int, stop: int) -> tuple[int, np.ndarray]:
     """(start, z of replications start, ..., stop - 1)."""
     statistics = np.empty(stop - start)
     if plan.test == "eqcov":
@@ -182,24 +186,24 @@ def _run_chunk(plan: SimulationPlan, mu: float, sigma: float,
             rng = entry_generator(plan.seed, rep)
             groups = [draw_entries(rng, nj, plan.p, plan.dist) for nj in plan.n_sizes]
             statistics[rep - start] = 2.0 * log_lambda2(GroupedSample(tuple(groups)))
-        return start, (statistics - mu) / sigma
-    root = compound_symmetry_sqrt(plan.delta, plan.p) if plan.delta > 0.0 else None
-    batch = np.empty((_BATCH, plan.n, plan.p))
-    for lo in range(start, stop, _BATCH):
-        x = batch[:min(_BATCH, stop - lo)]
-        for i in range(len(x)):
-            rng = entry_generator(plan.seed, lo + i)
-            x[i] = draw_entries(rng, plan.n, plan.p, plan.dist)
-        if root is not None:
-            # back into the buffer, so that the statistic runs with one stack
-            # alive and peak memory stays at the unbatched engine's
-            x[...] = apply_root(x, root)
-        if plan.test == "block":
-            values = log_vn(x, plan.partition)
-        else:
-            values = log_det_correlation(x)
-        statistics[lo - start:lo - start + len(x)] = values
-    return start, (statistics - mu) / sigma
+    else:
+        root = compound_symmetry_sqrt(plan.delta, plan.p) if plan.delta > 0.0 else None
+        batch = np.empty((_BATCH, plan.n, plan.p))
+        for lo in range(start, stop, _BATCH):
+            x = batch[:min(_BATCH, stop - lo)]
+            for i in range(len(x)):
+                rng = entry_generator(plan.seed, lo + i)
+                x[i] = draw_entries(rng, plan.n, plan.p, plan.dist)
+            if root is not None:
+                # back into the buffer, so that the statistic runs with one stack
+                # alive and peak memory stays at the unbatched engine's
+                x[...] = apply_root(x, root)
+            if plan.test == "block":
+                values = log_vn(x, plan.partition)
+            else:
+                values = log_det_correlation(x)
+            statistics[lo - start:lo - start + len(x)] = values
+    return start, (statistics - plan.mu) / plan.sigma
 
 
 # The pools of the power curve running on this thread, by worker count, or
@@ -239,15 +243,14 @@ def _simulate(plan: SimulationPlan, threads: int = 1) -> np.ndarray:
     """z values for all replications, indexed by replication."""
     if threads < 1:
         raise InvalidPlan(f"threads must be at least 1, got {threads}")
-    mu, sigma = _centering(plan)
     reps = plan.reps
     if threads <= 1 or reps < 2 * threads:
-        return _run_chunk(plan, mu, sigma, 0, reps)[1]
+        return _run_chunk(plan, 0, reps)[1]
     z = np.empty(reps)
     bounds = np.linspace(0, reps, 4 * threads + 1, dtype=int)
     with _pool(threads) as pool:
         futures = [
-            pool.submit(_run_chunk, plan, mu, sigma, int(a), int(b))
+            pool.submit(_run_chunk, plan, int(a), int(b))
             for a, b in zip(bounds[:-1], bounds[1:])
             if b > a
         ]
@@ -257,13 +260,9 @@ def _simulate(plan: SimulationPlan, threads: int = 1) -> np.ndarray:
     return z
 
 
-def _rejections(z: np.ndarray, alpha: float) -> int:
-    # identical decision to the test functions: reject iff Phi(z) <= alpha
-    return int(sum(1 for v in z if normal_cdf(float(v)) <= alpha))
-
-
 def _aggregate(plan: SimulationPlan, z: np.ndarray) -> SimulationResult:
-    rejections = _rejections(z, plan.alpha)
+    # identical decision to the test functions: reject iff Phi(z) <= alpha
+    rejections = int(sum(1 for v in z if normal_cdf(float(v)) <= plan.alpha))
     rate = rejections / plan.reps
     return SimulationResult(
         rejection_rate=rate,

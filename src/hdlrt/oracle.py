@@ -8,9 +8,10 @@ of the closed-form compound-symmetry square root, so that agreement
 between the routes is evidence rather than tautology.  It also holds the
 explicitly formed sample covariance and a bisection normal quantile for
 the rejection boundary log V_n <= sigma_n * u_alpha + mu_n, which the
-library decides as Phi(z) <= alpha without forming u_alpha, and the two
-error classes that only these references raise (``SingularMatrix``,
-``NegativeEigenvalue``).
+library decides as Phi(z) <= alpha without forming u_alpha, the
+closed-form mean shift of log V_n under the compound-symmetry alternative
+(``power_mean_shift``), and the two error classes that only these
+references raise (``SingularMatrix``, ``NegativeEigenvalue``).
 
 Not part of the public library surface; only the tests import it.
 """
@@ -166,6 +167,26 @@ def symmetric_sqrt(a) -> np.ndarray:
     if np.min(w) < -1e-10 * scale:
         raise NegativeEigenvalue(f"eigenvalue {np.min(w):.3e} below tolerance")
     return _mirror((v * np.sqrt(np.clip(w, 0.0, None))) @ v.T)
+
+
+def power_mean_shift(part: BlockPartition, delta: float) -> float:
+    """g(delta) = log|Sigma_delta| - sum_i log|Sigma_delta,ii| for the
+    compound-symmetry alternative Sigma_delta = (1 - delta) I + delta * ones
+    and the partition's diagonal blocks (all singletons for the correlation
+    test), with log|CS_m(delta)| = (m - 1) log(1 - delta) + log(1 + (m - 1) delta)
+    for an m x m block.
+
+    For Gaussian data log|S| - log|Sigma| does not depend on Sigma, and
+    each block's S_ii is the sample covariance of Gaussian data with
+    covariance Sigma_ii, so the mean of log V_n moves by exactly g(delta)
+    from its null value.  Phi(u_alpha - g(delta) / sigma_n) predicts the
+    power as long as the variance under the alternative is near the
+    null's, which holds for small delta only.
+    """
+    def log_det_cs(m: int) -> float:
+        return (m - 1) * math.log1p(-delta) + math.log1p((m - 1) * delta)
+
+    return log_det_cs(part.p) - sum(log_det_cs(m) for m in part.sizes)
 
 
 def explicit_quad_form(span_columns: np.ndarray, b: np.ndarray) -> float:

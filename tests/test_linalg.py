@@ -55,6 +55,19 @@ def test_partition_rejects_bad_sizes():
         BlockPartition(())
 
 
+@pytest.mark.parametrize("sizes", [(2.7, 3), (2.0, 3), ("2", 3)], ids=["fraction", "float", "str"])
+def test_partition_rejects_non_integer_sizes(sizes):
+    # a float used to be truncated: (2.7, 3) became (2, 3)
+    with pytest.raises(ValueError, match="block sizes must be integers"):
+        BlockPartition(sizes)
+
+
+def test_partition_takes_numpy_integers_as_ints():
+    part = BlockPartition((np.int64(2), np.int32(3)))
+    assert part.sizes == (2, 3)
+    assert all(type(s) is int for s in part.sizes)
+
+
 @given(st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=12))
 def test_partition_cumulative_strictly_increasing(sizes):
     part = BlockPartition(tuple(sizes))

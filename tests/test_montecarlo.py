@@ -14,9 +14,11 @@ from hdlrt.blocktest import (
     block_constants,
     block_test,
     correlation_constants,
+    correlation_test,
     log_det_correlation,
     log_vn,
 )
+from hdlrt.eqcov import eqcov_constants, eqcov_test
 from hdlrt.errors import InvalidPlan
 from hdlrt.linalg import BlockPartition, compound_symmetry_sqrt
 from hdlrt.montecarlo import (
@@ -30,8 +32,14 @@ from hdlrt.montecarlo import (
     run_power_curve,
     scenario_partition,
 )
-from hdlrt.oracle import normal_quantile
-from hdlrt.sampling import DistributionSpec, apply_root, draw_entries, entry_generator
+from hdlrt.oracle import normal_quantile, power_mean_shift
+from hdlrt.sampling import (
+    DistributionSpec,
+    apply_root,
+    draw_entries,
+    entry_generator,
+    normal_cdf,
+)
 
 SMALL_BLOCK = dict(test="block", p=8, n=40, partition=BlockPartition((4, 4)))
 
@@ -108,6 +116,42 @@ def test_plan_rejects_what_cannot_run(kwargs, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(test="eqcov", p=4, n_sizes=(15.9, 20)), "n_j must be an integer, got 15.9"),
+    (dict(SMALL_BLOCK, n=40.5), "n must be an integer, got 40.5"),
+    (dict(test="correlation", p=8.0, n=40), "p must be an integer, got 8.0"),
+    (dict(SMALL_BLOCK, reps=10.0), "reps must be an integer, got 10.0"),
+    (dict(SMALL_BLOCK, seed=3.7), "seed must be an integer, got 3.7"),
+], ids=["n_sizes", "n", "p", "reps", "seed"])
+def test_plan_rejects_non_integer_sizes(kwargs, message):
+    # a float used to be truncated (or, for n, to fail mid-run)
+    with pytest.raises(InvalidPlan) as exc:
+        SimulationPlan(**kwargs)
+    assert str(exc.value) == message
+
+
+def test_plan_takes_numpy_integers_as_ints():
+    plan = SimulationPlan(test="eqcov", p=np.int64(4), n_sizes=(np.int32(15), 20),
+                          reps=np.int64(3), seed=np.uint8(3))
+    assert plan == SimulationPlan(test="eqcov", p=4, n_sizes=(15, 20), reps=3, seed=3)
+    assert all(type(v) is int for v in (plan.p, *plan.n_sizes, plan.reps, plan.seed))
+
+
+def test_plan_carries_its_standardization():
+    const = block_constants(SMALL_BLOCK["n"], SMALL_BLOCK["partition"])
+    plan = small_plan()
+    assert (plan.mu, plan.sigma) == (const.mu_n, const.sigma_n)
+    const = eqcov_constants((15, 20), 4)
+    plan = SimulationPlan(test="eqcov", p=4, n_sizes=(15, 20))
+    assert (plan.mu, plan.sigma) == (const.mu_n, 35 * const.sigma_n)
+    flags = {f.name: (f.init, f.repr, f.compare) for f in dataclasses.fields(plan)}
+    assert flags["mu"] == flags["sigma"] == (False, False, False)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.mu = 0.0
+    with pytest.raises(TypeError):
+        SimulationPlan(test="eqcov", p=4, n_sizes=(15, 20), sigma=1.0)
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
@@ -165,6 +209,35 @@ def test_rejections_match_full_test_decisions():
         data = draw_entries(entry_generator(plan.seed, rep), plan.n, plan.p, plan.dist)
         flags.append(block_test(data, plan.partition, plan.alpha).reject)
     assert result.rejections == sum(flags)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("plan", [
+    SimulationPlan(test="eqcov", p=4, n_sizes=(12, 15, 20), reps=7, seed=9,
+                   dist=DistributionSpec.parse("t15")),
+    SimulationPlan(test="correlation", n=30, p=8, delta=0.2, reps=7, seed=10),
+    SimulationPlan(test="block", n=30, p=10, partition=BlockPartition((5, 2, 3)), reps=7,
+                   seed=11),
+], ids=["eqcov_t15", "correlation_delta", "block_uneven"])
+def test_engine_z_is_report_z(plan, threads):
+    # the engine standardizes with the plan's constants, the reports with
+    # their own; both must give every replication the same bits
+    root = compound_symmetry_sqrt(plan.delta, plan.p)
+    expected = []
+    for rep in range(plan.reps):
+        rng = entry_generator(plan.seed, rep)
+        if plan.test == "eqcov":
+            groups = [draw_entries(rng, nj, plan.p, plan.dist) for nj in plan.n_sizes]
+            report = eqcov_test(groups, plan.alpha)
+        elif plan.test == "correlation":
+            x = apply_root(draw_entries(rng, plan.n, plan.p, plan.dist), root)
+            report = correlation_test(x, plan.alpha)
+        else:
+            report = block_test(draw_entries(rng, plan.n, plan.p, plan.dist), plan.partition,
+                                plan.alpha)
+        expected.append(report.z)
+    run = run_level if plan.test == "eqcov" else run_power
+    assert np.array_equal(run(plan, threads=threads).z_samples, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +440,30 @@ def test_scenario_2_power_at_least_scenario_1():
         (s1.rejection_rate + s2.rejection_rate) / 2
         * (1 - (s1.rejection_rate + s2.rejection_rate) / 2) * 2 / 2000)
     assert s2.rejection_rate >= s1.rejection_rate - bound
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kw, part", [
+    (dict(test="correlation", seed=808_001), BlockPartition.unit(60)),
+    (dict(test="block", scenario=2, seed=808_002), scenario_partition(2, 60)),
+], ids=["correlation", "block_scenario_2"])
+def test_power_matches_the_mean_shift_oracle(kw, part):
+    # Phi(u_alpha - g(delta) / sigma_n) leaves out the variance growth under
+    # the alternative, so it is checked only where it predicts power <= 0.5
+    reps = 2000
+    plans = [SimulationPlan(n=100, p=60, delta=delta, reps=reps, **kw)
+             for delta in (0.02, 0.03, 0.04, 0.05)]
+    checked = 0
+    for plan in plans:
+        predicted = normal_cdf(
+            normal_quantile(plan.alpha) - power_mean_shift(part, plan.delta) / plan.sigma)
+        if predicted > 0.5:
+            continue
+        rate = run_power(plan).rejection_rate
+        assert abs(rate - predicted) <= 3.0 * math.sqrt(predicted * (1 - predicted) / reps), (
+            plan.delta, rate, predicted)
+        checked += 1
+    assert checked >= 3
 
 
 @pytest.mark.slow

@@ -9,9 +9,11 @@ from hdlrt.blocktest import block_constants, log_vn
 from hdlrt.linalg import BlockPartition, incremental_quad_forms, log_det_cholesky
 from hdlrt.oracle import (
     SingularMatrix,
+    extract_block,
     lu_log_det,
     martingale_trace,
     naive_log_vn,
+    power_mean_shift,
     sigma1_closed_form,
 )
 from hdlrt.sampling import DistributionSpec, draw_entries, entry_generator
@@ -144,3 +146,17 @@ def test_x_terms_mean_zero_over_replications():
     sds = np.sqrt(sums_sq / reps - means ** 2)
     for mean, sd in zip(means, sds):
         assert abs(mean) <= 4.0 * sd / math.sqrt(reps)
+
+
+# ---------------------------------------------------------------------------
+# power_mean_shift
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("sizes", [(1,) * 7, (3, 1, 4), (2, 5)])
+@pytest.mark.parametrize("delta", [0.0, 0.03, 0.4])
+def test_power_mean_shift_matches_lu_of_explicit_covariance(sizes, delta):
+    part = BlockPartition(sizes)
+    cov = (1.0 - delta) * np.eye(part.p) + delta * np.ones((part.p, part.p))
+    blocks = sum(lu_log_det(extract_block(cov, part, i))[0] for i in range(part.q))
+    assert power_mean_shift(part, delta) == pytest.approx(lu_log_det(cov)[0] - blocks,
+                                                          rel=1e-12, abs=1e-13)
