@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -122,7 +123,7 @@ def _parse_csv_rows(path: str) -> np.ndarray:
                     f"{path}: row {idx}, column {col}: {cell.strip()!r} is not a number",
                     row=idx, col=col,
                 ) from None
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ParseError(
                     f"{path}: row {idx}, column {col}: non-finite value {cell.strip()!r}",
                     row=idx, col=col,

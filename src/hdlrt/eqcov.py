@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionExceedsSample, DimensionMismatch, InvalidDesign
-from .blocktest import NullConstants, TestReport, _standardize, _validate_alpha
+from .blocktest import NullConstants, TestReport, _integer, _standardize, _validate_alpha
 # log_det_incremental is unused here; perfbench/tracing.py WRAPPED wraps this name
 from .linalg import _as_data_matrix, _mirror, log_det_cholesky, log_det_incremental
 
@@ -119,8 +119,8 @@ def eqcov_constants(n_sizes: Sequence[int], p: int) -> NullConstants:
     design; a quantitative lower bound, n^2 sigma_n^2 >= p^2 (q - 1) / 2,
     is asserted in the test suite.
     """
-    sizes = tuple(int(v) for v in n_sizes)
-    p = int(p)
+    sizes = tuple(_integer("n_j", v) for v in n_sizes)
+    p = _integer("p", p)
     if len(sizes) < 2:
         raise InvalidDesign(f"at least two groups required, got {len(sizes)}")
     if p < 1:

@@ -18,8 +18,8 @@ replications are evaluated one at a time.
 Worker processes: a run on more than one worker splits its replications
 into chunks on a ``ProcessPoolExecutor``.  ``run_level``, ``run_power`` and
 ``run_histogram`` each start their own pool and shut it down before they
-return; ``run_power_curve`` runs all of its deltas on one pool, which it
-shuts down when the curve returns or raises.
+return; ``run_power_curve`` keeps one pool in a thread-local slot from its
+first pooled delta on, and shuts it down when the curve returns or raises.
 """
 
 from __future__ import annotations
@@ -88,11 +88,11 @@ class SimulationPlan:
     ``scenario``); correlation plans need ``n`` only; eqcov plans need
     ``n_sizes``, at least two groups each with n_j > p.  ``delta`` selects
     the compound-symmetry alternative (1-delta) I + delta * ones, with
-    delta = 0 the null.  Sizes, ``p``, ``reps`` and ``seed`` are integers.
-    ``mu`` and ``sigma``, the read-only centering and scale of the statistic
-    the engine stores (eqcov: mu_n and n sigma_n), are set when the plan is
-    built; a plan that cannot run, one the constants reject included,
-    raises ``InvalidPlan`` then.
+    delta = 0 the null.  Sizes, ``p``, ``reps`` and ``seed`` are integers,
+    the seed in [0, 2**64).  ``mu`` and ``sigma``, the read-only centering
+    and scale of the statistic the engine stores (eqcov: mu_n and n
+    sigma_n), are set when the plan is built; a plan that cannot run, one
+    the constants reject included, raises ``InvalidPlan`` then.
     """
 
     test: str
@@ -116,6 +116,8 @@ class SimulationPlan:
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.reps < 1:
             raise InvalidPlan(f"reps must be positive, got {self.reps}")
+        if not 0 <= self.seed < 1 << 64:
+            raise InvalidPlan(f"seed must be in [0, 2**64), got {self.seed}")
         if not 0.0 < self.alpha < 1.0:
             raise InvalidPlan(f"alpha must be in (0, 1), got {self.alpha}")
         if not 0.0 <= self.delta < 1.0:
@@ -178,8 +180,8 @@ class SimulationResult:
     ks_statistic: float | None = None
 
 
-def _run_chunk(plan: SimulationPlan, start: int, stop: int) -> tuple[int, np.ndarray]:
-    """(start, z of replications start, ..., stop - 1)."""
+def _run_chunk(plan: SimulationPlan, start: int, stop: int) -> np.ndarray:
+    """z of replications start, ..., stop - 1."""
     statistics = np.empty(stop - start)
     if plan.test == "eqcov":
         for rep in range(start, stop):
@@ -203,11 +205,11 @@ def _run_chunk(plan: SimulationPlan, start: int, stop: int) -> tuple[int, np.nda
             else:
                 values = log_det_correlation(x)
             statistics[lo - start:lo - start + len(x)] = values
-    return start, (statistics - plan.mu) / plan.sigma
+    return (statistics - plan.mu) / plan.sigma
 
 
-# The pools of the power curve running on this thread, by worker count, or
-# None outside ``run_power_curve``.
+# The pool that the deltas of the power curve running on this thread share:
+# None until its first pooled delta, unset outside ``run_power_curve``.
 _curve = threading.local()
 
 
@@ -216,27 +218,13 @@ def _pool(threads: int):
     """A pool of ``threads`` workers: inside ``run_power_curve``, the curve's
     pool (started on first use and left open for the next delta), else a
     new pool shut down on exit."""
-    pools = getattr(_curve, "pools", None)
-    if pools is None:
+    if hasattr(_curve, "pool"):
+        if _curve.pool is None:
+            _curve.pool = ProcessPoolExecutor(max_workers=threads)
+        yield _curve.pool
+    else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             yield pool
-        return
-    if threads not in pools:
-        pools[threads] = ProcessPoolExecutor(max_workers=threads)
-    yield pools[threads]
-
-
-@contextmanager
-def _one_pool_per_curve():
-    """Let every ``_simulate`` on this thread inside the block share its
-    pool; shut the pools down when the block ends, however it ends."""
-    pools = _curve.pools = {}
-    try:
-        yield
-    finally:
-        _curve.pools = None
-        for pool in pools.values():
-            pool.shutdown()
 
 
 def _simulate(plan: SimulationPlan, threads: int = 1) -> np.ndarray:
@@ -245,19 +233,12 @@ def _simulate(plan: SimulationPlan, threads: int = 1) -> np.ndarray:
         raise InvalidPlan(f"threads must be at least 1, got {threads}")
     reps = plan.reps
     if threads <= 1 or reps < 2 * threads:
-        return _run_chunk(plan, 0, reps)[1]
-    z = np.empty(reps)
+        return _run_chunk(plan, 0, reps)
     bounds = np.linspace(0, reps, 4 * threads + 1, dtype=int)
     with _pool(threads) as pool:
-        futures = [
-            pool.submit(_run_chunk, plan, int(a), int(b))
-            for a, b in zip(bounds[:-1], bounds[1:])
-            if b > a
-        ]
-        for fut in futures:
-            start, chunk = fut.result()
-            z[start:start + len(chunk)] = chunk
-    return z
+        futures = [pool.submit(_run_chunk, plan, int(a), int(b))
+                   for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+        return np.concatenate([fut.result() for fut in futures])
 
 
 def _aggregate(plan: SimulationPlan, z: np.ndarray) -> SimulationResult:
@@ -297,11 +278,17 @@ def run_power_curve(plan: SimulationPlan, deltas=DEFAULT_DELTA_GRID,
     """``run_power`` over a delta grid, reusing the plan's seed so the
     replications are coupled across deltas.  All deltas run on one pool of
     ``threads`` workers, shut down before the curve returns or raises."""
-    with _one_pool_per_curve():
+    _curve.pool = None
+    try:
         return [
             (float(d), run_power(replace(plan, delta=float(d)), threads=threads))
             for d in deltas
         ]
+    finally:
+        pool = _curve.pool
+        del _curve.pool
+        if pool is not None:
+            pool.shutdown()
 
 
 def ks_distance_to_normal(z: np.ndarray) -> float:

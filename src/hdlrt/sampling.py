@@ -15,13 +15,12 @@ of the key, independent of scheduling, thread count, and platform.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch
-
-_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -84,10 +83,21 @@ def entry_generator(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator for the (seed, stream) pair.
 
     Distinct streams under the same seed are statistically independent;
-    the same pair always reproduces the same draws.
+    the same pair always reproduces the same draws.  Both are integers in
+    [0, 2**64); anything else raises ValueError.
     """
-    key = (int(seed) & _MASK64) | ((int(stream) & _MASK64) << 64)
+    key = _key_word("seed", seed) | _key_word("stream", stream) << 64
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _key_word(name: str, value) -> int:
+    try:
+        word = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if not 0 <= word < 1 << 64:
+        raise ValueError(f"{name} must be in [0, 2**64), got {word}")
+    return word
 
 
 def draw_entries(rng: np.random.Generator, n: int, p: int, dist: DistributionSpec) -> np.ndarray:

@@ -8,6 +8,8 @@ acceptance gate.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -52,3 +54,15 @@ def reference_null_run():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(autouse=True)
+def no_worker_left_running():
+    """Fail a test that leaves running a child process it did not find;
+    comparing with the children from before the test keeps one leak from
+    failing every later test."""
+    before = set(multiprocessing.active_children())
+    yield
+    left = [proc.name for proc in multiprocessing.active_children() if proc not in before]
+    if left:
+        pytest.fail(f"child processes left running: {', '.join(left)}")

@@ -113,6 +113,11 @@ def test_block_constants_rejects_bad_designs():
         block_constants(4, BlockPartition((2, 2)))  # p = n
     with pytest.raises(InvalidDesign):
         block_constants(3, BlockPartition((1, 1, 2)))  # p > n
+    # a float used to be truncated to the integer below it
+    with pytest.raises(InvalidDesign, match=r"^n must be an integer, got 40\.5$"):
+        block_constants(40.5, BlockPartition((10, 10)))
+    with pytest.raises(InvalidDesign, match=r"^n must be an integer, got 40\.9$"):
+        correlation_constants(40.9, 8)
 
 
 def test_correlation_constants_reference_values():

@@ -518,6 +518,14 @@ def test_simulate_invalid_design_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)], ids=["negative", "2_64"])
+def test_simulate_seed_outside_64_bits_exit_2(seed, capsys):
+    code = run_cli(["simulate", "level", "--test", "corr", "--n", "30", "--p", "6",
+                    "--reps", "5", "--seed", seed])
+    assert code == 2
+    assert f"seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+
+
 def test_simulate_flag_kind_mismatch_exit_2(capsys):
     code = run_cli(["simulate", "level", "--test", "corr", "--n", "30", "--p", "6",
                     "--blocks", "3x2", "--reps", "5"])

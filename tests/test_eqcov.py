@@ -150,6 +150,9 @@ def test_eqcov_constants_rejects_bad_designs():
         eqcov_constants((30,), 5)
     with pytest.raises(InvalidDesign):
         eqcov_constants((30, 5), 5)  # one group too small
+    # a float used to be truncated to the integer below it
+    with pytest.raises(InvalidDesign, match=r"^n_j must be an integer, got 15\.9$"):
+        eqcov_constants((15.9, 20), 4)
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,14 @@ def test_plan_rejects_non_integer_sizes(kwargs, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64], ids=["negative", "2_64"])
+def test_plan_rejects_seed_outside_64_bits(seed):
+    # it used to be masked to 64 bits: -1 drew the stream of 2**64 - 1
+    with pytest.raises(InvalidPlan) as exc:
+        small_plan(seed=seed)
+    assert str(exc.value) == f"seed must be in [0, 2**64), got {seed}"
+
+
 def test_plan_takes_numpy_integers_as_ints():
     plan = SimulationPlan(test="eqcov", p=np.int64(4), n_sizes=(np.int32(15), 20),
                           reps=np.int64(3), seed=np.uint8(3))
@@ -317,7 +325,11 @@ def pools(monkeypatch):
 
 
 def _no_shared_pool_left(started, shut):
-    return getattr(montecarlo._curve, "pools", None) is None and set(started) <= set(shut)
+    # a lone run after the curve starts and shuts down a pool of its own;
+    # with the curve's slot left set it would reuse or keep that pool
+    before = len(started)
+    run_level(small_plan(reps=12), threads=2)
+    return len(started) == before + 1 and set(started) <= set(shut)
 
 
 def test_power_curve_starts_one_pool(pools):
@@ -366,7 +378,7 @@ def test_invalid_plan_raises_before_any_pool(pools, run, plan, threads):
     with pytest.raises(InvalidPlan):
         run(plan, threads=threads)
     assert pools[0] == []
-    assert getattr(montecarlo._curve, "pools", None) is None
+    assert _no_shared_pool_left(*pools)
 
 
 def test_power_increases_for_strong_alternative():

@@ -62,6 +62,27 @@ def test_different_streams_differ():
     assert not np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("seed, stream, message", [
+    (-1, 0, "seed must be in [0, 2**64), got -1"),
+    (2 ** 64, 0, f"seed must be in [0, 2**64), got {2 ** 64}"),
+    (3.5, 0, "seed must be an integer, got 3.5"),
+    (0, -1, "stream must be in [0, 2**64), got -1"),
+    (0, 2.0, "stream must be an integer, got 2.0"),
+], ids=["seed_negative", "seed_2_64", "seed_float", "stream_negative", "stream_float"])
+def test_entry_generator_rejects_keys_outside_64_bits(seed, stream, message):
+    # they used to be masked to 64 bits: seed -1 drew the stream of 2**64 - 1
+    with pytest.raises(ValueError) as exc:
+        entry_generator(seed, stream)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("seed, stream", [(0, 0), (42, 3), (2 ** 64 - 1, 2 ** 64 - 1),
+                                          (np.uint64(2 ** 64 - 1), np.int64(5))])
+def test_entry_generator_key_is_seed_then_stream(seed, stream):
+    expected = np.random.Generator(np.random.Philox(key=int(seed) | int(stream) << 64))
+    assert np.array_equal(entry_generator(seed, stream).random(4), expected.random(4))
+
+
 def test_stream_cross_correlation_small():
     n, p = 200, 50
     a = draw_entries(entry_generator(9, 1), n, p, DistributionSpec.normal()).ravel()

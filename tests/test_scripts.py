@@ -82,9 +82,11 @@ def test_threads_below_one_is_usage_error(name, capsys):
     ("null_histograms", ["--reps", "0"], "reps must be positive, got 0"),
     ("null_histograms", ["--bins", "0"], "bins must be positive, got 0"),
     ("null_histograms", ["--blocks", "1"], "at least two blocks required, got q=1"),
+    ("null_histograms", ["--seed", "-1"], "seed must be in [0, 2**64), got -1"),
 ], ids=["deltas_not_numbers", "blocks_zero", "blocks_negative", "blocks_not_divisor",
         "level_reps_zero", "level_alpha_two", "power_reps_zero", "power_delta_above_one",
-        "hist_n_below_p", "hist_reps_zero", "hist_bins_zero", "blocks_one"])
+        "hist_n_below_p", "hist_reps_zero", "hist_bins_zero", "blocks_one",
+        "hist_seed_negative"])
 def test_bad_arguments_are_usage_errors(name, argv, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # the scripts' default output paths are relative
     with pytest.raises(SystemExit) as exc:
