@@ -12,8 +12,9 @@ import itertools
 import sys
 import time
 
-from hdlrt import DistributionSpec, InvalidPlan, SimulationPlan, run_level
+# hdlrt.cli first: it sets the CLI's one-thread BLAS default before numpy loads.
 from hdlrt.cli import _threads_arg
+from hdlrt import DistributionSpec, InvalidPlan, SimulationPlan, run_level
 
 SIZES = [(100, 60), (120, 90), (180, 120)]
 DISTS = ["normal", "t15", "exp1"]

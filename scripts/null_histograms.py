@@ -10,8 +10,9 @@ import argparse
 import csv
 import sys
 
-from hdlrt import BlockPartition, DistributionSpec, InvalidPlan, SimulationPlan, run_histogram
+# hdlrt.cli first: it sets the CLI's one-thread BLAS default before numpy loads.
 from hdlrt.cli import _threads_arg
+from hdlrt import BlockPartition, DistributionSpec, InvalidPlan, SimulationPlan, run_histogram
 
 DISTS = ["normal", "t15", "exp1"]
 

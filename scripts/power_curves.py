@@ -13,8 +13,9 @@ import itertools
 import sys
 import time
 
-from hdlrt import DistributionSpec, InvalidPlan, SimulationPlan, run_power_curve
+# hdlrt.cli first: it sets the CLI's one-thread BLAS default before numpy loads.
 from hdlrt.cli import _list_arg, _threads_arg
+from hdlrt import DistributionSpec, InvalidPlan, SimulationPlan, run_power_curve
 
 SIZES = [(100, 60), (120, 90), (180, 120)]
 DISTS = ["normal", "t15", "exp1"]

@@ -19,10 +19,20 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
 import sys
+from array import array
+
+# The CLI's parallelism is its --threads worker processes, which fork from
+# this one; a BLAS thread pool in each of them only oversubscribes the
+# cores.  OpenBLAS reads its thread count once, when numpy loads it, so the
+# default is set here, before any numpy import, and a count the user set
+# is kept.
+if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 
@@ -100,21 +110,37 @@ def _parse_csv_rows(path: str) -> np.ndarray:
     """Exact reference read behind ``parse_csv``: one ``float`` per cell.
 
     The only place that words ParseError/RaggedRows with a file row and
-    column, or a byte that is not UTF-8 with its offset in the file.
+    column, or a byte that is not UTF-8 with its offset in the file.  Rows
+    are parsed as the CSV reader yields them, into one flat array of
+    doubles, so no row outlives its parse.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        text = raw.decode("utf-8").removeprefix("\ufeff")
+        # Decoded whole first, so that a bad byte anywhere wins over a bad cell.
+        raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: byte offset {exc.start}: not valid UTF-8") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
-    rows = [(idx, row) for idx, row in enumerate(reader, start=1) if _is_filled(row)]
-    if not rows:
+    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
+    rows = ((idx, row) for idx, row in enumerate(csv.reader(text), start=1)
+            if _is_filled(row))
+    first = next(rows, None)
+    if first is None:
         raise ParseError(f"{path}: no data rows")
-
-    def parse_row(idx: int, row: list[str]) -> list[float]:
-        values = []
+    # Row 1 is a header only when none of its cells reads as a number, so a
+    # first data row with one bad cell fails instead of being dropped.
+    if not any(_is_number(cell) for cell in first[1]):
+        first = next(rows, None)
+        if first is None:
+            raise ParseError(f"{path}: no data rows below the header")
+    width = len(first[1])
+    values = array("d")
+    for idx, row in itertools.chain([first], rows):
+        if len(row) != width:
+            raise RaggedRows(
+                f"{path}: row {idx} has {len(row)} fields, expected {width}",
+                row=idx,
+            )
         for col, cell in enumerate(row, start=1):
             try:
                 value = float(cell)
@@ -129,23 +155,7 @@ def _parse_csv_rows(path: str) -> np.ndarray:
                     row=idx, col=col,
                 )
             values.append(value)
-        return values
-
-    # Row 1 is a header only when none of its cells reads as a number, so a
-    # first data row with one bad cell fails instead of being dropped.
-    start = 0 if any(_is_number(cell) for cell in rows[0][1]) else 1
-    if start == len(rows):
-        raise ParseError(f"{path}: no data rows below the header")
-    width = len(rows[start][1])
-    data = []
-    for idx, row in rows[start:]:
-        if len(row) != width:
-            raise RaggedRows(
-                f"{path}: row {idx} has {len(row)} fields, expected {width}",
-                row=idx,
-            )
-        data.append(parse_row(idx, row))
-    return np.array(data, dtype=np.float64)
+    return np.frombuffer(values, dtype=np.float64).reshape(-1, width)
 
 
 def parse_partition(text: str) -> BlockPartition:

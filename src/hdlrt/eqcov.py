@@ -89,18 +89,19 @@ def log_lambda2(sample) -> float:
 
     Always <= 0; equals 0 exactly when every normalized group scatter
     A_j / n_j coincides with the pooled A / n.  Computed by one Cholesky
-    factorization per group scatter plus one for the pooled scatter,
-    which is formed by compensated summation of the group scatters in
-    ascending group order.  ``hdlrt.oracle.naive_log_lambda2`` evaluates
-    the same quantity by LU for the test suite.
+    factorization per group scatter plus one for the pooled scatter, all
+    in one call on the (q + 1, p, p) stack; the pooled scatter is formed
+    by compensated summation of the group scatters in ascending group
+    order.  ``hdlrt.oracle.naive_log_lambda2`` evaluates the same quantity
+    by LU for the test suite.
     """
     s = _coerce(sample)
     scatters = [_mirror(g.T @ g) for g in s.groups]
     pooled = _kahan_matrix_sum(scatters)
-    per_group = sum(
-        nj * log_det_cholesky(a / nj) for nj, a in zip(s.n_sizes, scatters)
-    )
-    return 0.5 * (per_group - s.n * log_det_cholesky(pooled / s.n))
+    normalized = [a / nj for nj, a in zip(s.n_sizes, scatters)] + [pooled / s.n]
+    *group_logs, pooled_log = log_det_cholesky(np.stack(normalized)).tolist()
+    per_group = sum(nj * lg for nj, lg in zip(s.n_sizes, group_logs))
+    return 0.5 * (per_group - s.n * pooled_log)
 
 
 def eqcov_constants(n_sizes: Sequence[int], p: int) -> NullConstants:

@@ -13,10 +13,11 @@ on explicitly formed scatter matrices (``log_det_cholesky``).
 ``hdlrt.oracle`` holds the LU reference.
 
 Stacks: the incremental-route kernels also take a stack (k, n, p) of data
-matrices and then return an array of k values, each bit for bit the value
-the kernel returns for that slice on its own; one n x p matrix gives a
-float.  A stack raises if any of its slices would; with one failing slice
-the error is the one that slice raises alone.
+matrices, and ``log_det_cholesky`` a stack (k, p, p) of matrices; they then
+return an array of k values, each bit for bit the value the kernel returns
+for that slice on its own, and one matrix gives a float.  A stack raises
+if any of its slices would; with one failing slice the error is the one
+that slice raises alone.
 
 All determinants are handled in log space throughout; the raw determinant
 ratios underflow already for moderate dimensions.
@@ -134,23 +135,32 @@ def _as_result(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
-def _check_symmetric(a) -> np.ndarray:
+def _check_symmetric(a, stack: bool = False) -> np.ndarray:
+    """A square matrix, or with ``stack`` also a stack (k, p, p) of them,
+    each exactly symmetric."""
     m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    if not np.array_equal(m, m.T):
+    if m.ndim not in ((2, 3) if stack else (2,)) or m.shape[-2] != m.shape[-1]:
+        kinds = "square matrix or a stack of them" if stack else "square matrix"
+        raise DimensionMismatch(f"expected a {kinds}, got shape {m.shape}")
+    if not np.array_equal(m, np.swapaxes(m, -2, -1)):
         raise ValueError("matrix is not exactly symmetric")
     return m
 
 
 def _mirror(a: np.ndarray) -> np.ndarray:
-    """Copy the lower triangle onto the upper one, making symmetry exact."""
+    """Copy the lower triangle onto the upper one, making symmetry exact.
+    An exactly symmetric input, such as numpy's ``g.T @ g``, is returned
+    as it is."""
+    if np.array_equal(a, a.T):
+        return a
     lower = np.tril(a)
     return lower + np.tril(a, -1).T
 
 
-def log_det_cholesky(a) -> float:
-    """Log-determinant of a symmetric positive definite matrix via Cholesky.
+def log_det_cholesky(a):
+    """Log-determinant of a symmetric positive definite matrix via Cholesky;
+    an array of k values for a stack (k, p, p), each bit for bit the value
+    of its slice on its own.
 
     Returns sum of 2*log(L_ii) for the Cholesky factor L.
 
@@ -158,19 +168,20 @@ def log_det_cholesky(a) -> float:
     ------
     NotPositiveDefinite
         If the factorization fails or produces a non-positive or
-        non-finite pivot (e.g. a singular sample covariance with p >= n).
+        non-finite pivot (e.g. a singular sample covariance with p >= n),
+        for any slice of a stack.
     """
-    m = _check_symmetric(a)
+    m = _check_symmetric(a, stack=True)
     if not np.isfinite(m).all():
         raise NotPositiveDefinite("matrix contains non-finite entries")
     try:
         chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from exc
-    diag = np.diagonal(chol)
+    diag = np.diagonal(chol, axis1=-2, axis2=-1)
     if not np.all(diag > 0) or not np.isfinite(diag).all():
         raise NotPositiveDefinite("non-positive pivot in Cholesky factor")
-    return float(2.0 * np.sum(np.log(diag)))
+    return _as_result(2.0 * np.log(diag).sum(axis=-1))
 
 
 def _squared_residuals(stack: np.ndarray, first_columns) -> np.ndarray:

@@ -9,11 +9,20 @@ acceptance gate.
 from __future__ import annotations
 
 import multiprocessing
+import os
 
+# hdlrt.cli first: it sets the CLI's one-thread BLAS default before numpy
+# loads.  The tests that simulate run on THREADS worker processes, and a
+# BLAS thread pool in each would only oversubscribe the cores.
+import hdlrt.cli  # noqa: F401
 import numpy as np
 import pytest
 
 from hdlrt import BlockPartition, DistributionSpec, SimulationPlan, run_histogram
+
+# Worker count of the acceptance-scale simulations: 2, or HDLRT_THREADS.
+# Results never depend on it (criterion 10).
+THREADS = int(os.environ.get("HDLRT_THREADS") or 2)
 
 REFERENCE_N = 100
 REFERENCE_P = 60
@@ -45,7 +54,7 @@ def reference_null_run():
                 alpha=0.05,
                 seed=REFERENCE_SEED,
             )
-            cache[label] = run_histogram(plan)
+            cache[label] = run_histogram(plan, threads=THREADS)
         return cache[label]
 
     return get

@@ -19,7 +19,7 @@ from hdlrt.eqcov import GroupedSample, eqcov_test
 from hdlrt.linalg import BlockPartition, log_det_cholesky, log_det_incremental
 from hdlrt.montecarlo import SimulationPlan, run_level, run_power
 from hdlrt.oracle import naive_log_vn, sample_covariance, sigma1_closed_form
-from conftest import DISTRIBUTIONS
+from conftest import DISTRIBUTIONS, THREADS
 
 SIZES = [(100, 60), (120, 90), (180, 120)]
 LEVEL_WINDOW = (0.035, 0.065)
@@ -52,7 +52,7 @@ def test_criterion_01_block_level_all_cells():
         seed = 201_000 + scenario * 10_000 + n + di * 131
         plan = SimulationPlan(test="block", n=n, p=p, scenario=scenario,
                               dist=dist, reps=2000, alpha=0.05, seed=seed)
-        rate = run_level(plan).rejection_rate
+        rate = run_level(plan, threads=THREADS).rejection_rate
         rates[(label, scenario, n)] = rate
         if not LEVEL_WINDOW[0] <= rate <= LEVEL_WINDOW[1]:
             failures.append((label, scenario, (n, p), rate))
@@ -89,7 +89,7 @@ def test_criterion_03_power_monotone_and_reaches_09():
     for i, delta in enumerate(POWER_DELTAS):
         plan = SimulationPlan(test="block", n=100, p=60, scenario=2, delta=delta,
                               reps=2000, alpha=0.05, seed=103_000)
-        rates.append(run_power(plan).rejection_rate)
+        rates.append(run_power(plan, threads=THREADS).rejection_rate)
     monotone = all(
         rates[i + 1] >= rates[i] - 3.0 * pooled_se(rates[i], 2000, rates[i + 1], 2000)
         for i in range(len(rates) - 1)
@@ -184,7 +184,7 @@ def test_criterion_07_eqcov_level_and_shape():
     """
     plan = SimulationPlan(test="eqcov", p=60, n_sizes=(100, 100, 100),
                           reps=2000, alpha=0.05, seed=107_000)
-    rate = run_level(plan).rejection_rate
+    rate = run_level(plan, threads=THREADS).rejection_rate
     level_ok = LEVEL_WINDOW[0] <= rate <= LEVEL_WINDOW[1]
     ks = {}
     for di, (label, dist) in enumerate(DISTRIBUTIONS.items()):
@@ -193,7 +193,7 @@ def test_criterion_07_eqcov_level_and_shape():
                               seed=107_100 + di)
         from hdlrt.montecarlo import ks_distance_to_normal
 
-        ks[label] = ks_distance_to_normal(run_level(plan).z_samples)
+        ks[label] = ks_distance_to_normal(run_level(plan, threads=THREADS).z_samples)
     ks_ok = all(v <= 0.03 for v in ks.values())
     gate("criterion 7 (eqcov level and shape)",
          level_ok and ks_ok,

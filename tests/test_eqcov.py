@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdlrt import eqcov
 from hdlrt.eqcov import (
     GroupedSample,
     eqcov_constants,
@@ -18,6 +19,7 @@ from hdlrt.errors import (
     DimensionMismatch,
     InvalidDesign,
 )
+from hdlrt.linalg import _mirror, log_det_cholesky
 from hdlrt.oracle import naive_log_lambda2, normal_quantile
 
 mpmath = pytest.importorskip("mpmath")
@@ -101,6 +103,26 @@ def test_log_lambda2_routes_agree(rng):
     # the Cholesky route against the LU oracle, three groups of unequal size
     sample = GroupedSample(tuple(rng.standard_normal((nj, 6)) for nj in (20, 30, 25)))
     assert log_lambda2(sample) == pytest.approx(naive_log_lambda2(sample), rel=1e-8)
+
+
+def test_log_lambda2_is_one_stacked_cholesky_with_per_matrix_bits(rng, monkeypatch):
+    # the q + 1 log-dets come from one call on a stack, through the module
+    # name, and equal bit for bit the statistic built from one call each
+    sizes = (20, 30, 25)
+    sample = GroupedSample(tuple(rng.standard_normal((nj, 6)) for nj in sizes))
+    scatters = [_mirror(g.T @ g) for g in sample.groups]
+    pooled = eqcov._kahan_matrix_sum(scatters)
+    per_group = sum(nj * log_det_cholesky(a / nj) for nj, a in zip(sizes, scatters))
+    expected = 0.5 * (per_group - sum(sizes) * log_det_cholesky(pooled / sum(sizes)))
+    shapes = []
+
+    def counted(a):
+        shapes.append(np.shape(a))
+        return log_det_cholesky(a)
+
+    monkeypatch.setattr(eqcov, "log_det_cholesky", counted)
+    assert log_lambda2(sample) == expected
+    assert shapes == [(4, 6, 6)]
 
 
 def test_log_lambda2_transform_invariance(rng):

@@ -17,6 +17,7 @@ from hdlrt.errors import (
 )
 from hdlrt.linalg import (
     BlockPartition,
+    _mirror,
     compound_symmetry_sqrt,
     incremental_quad_forms,
     log_det_cholesky,
@@ -147,6 +148,39 @@ def test_log_det_cholesky_rejects_singular(rng):
 def test_log_det_cholesky_rejects_indefinite():
     with pytest.raises(NotPositiveDefinite):
         log_det_cholesky(np.diag([1.0, -1.0]))
+
+
+def test_log_det_cholesky_stack_gives_each_slice_its_own_bits(rng):
+    stack = np.stack([random_spd(rng, 7, scale) for scale in (0.1, 1.0, 5.0, 0.01)])
+    values = log_det_cholesky(stack)
+    assert isinstance(values, np.ndarray) and values.shape == (4,)
+    assert values.tolist() == [log_det_cholesky(m) for m in stack]
+    assert type(log_det_cholesky(stack[0])) is float
+
+
+def test_log_det_cholesky_stack_raises_for_one_bad_slice(rng):
+    stack = np.stack([random_spd(rng, 3), np.diag([1.0, -1.0, 1.0])])
+    with pytest.raises(NotPositiveDefinite):
+        log_det_cholesky(stack)
+    asymmetric = stack.copy()
+    asymmetric[0, 0, 1] += 1.0
+    with pytest.raises(ValueError, match="symmetric"):
+        log_det_cholesky(asymmetric)
+    with pytest.raises(DimensionMismatch):
+        log_det_cholesky(np.ones((2, 2, 3)))
+    with pytest.raises(DimensionMismatch):
+        log_det_cholesky(np.ones((1, 2, 2, 2)))
+
+
+def test_mirror_keeps_a_symmetric_input_and_fixes_an_asymmetric_one(rng):
+    g = rng.standard_normal((30, 6))
+    scatter = g.T @ g
+    assert _mirror(scatter) is scatter
+    skewed = scatter.copy()
+    skewed[0, 5] += 1e-9
+    mirrored = _mirror(skewed)
+    assert np.array_equal(mirrored, mirrored.T)
+    assert np.array_equal(np.tril(mirrored), np.tril(skewed))
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from hdlrt.sampling import (
     entry_generator,
     normal_cdf,
 )
+from conftest import THREADS
 
 SMALL_BLOCK = dict(test="block", p=8, n=40, partition=BlockPartition((4, 4)))
 
@@ -267,9 +268,9 @@ def test_standard_error_formula():
 def test_split_and_pool_consistent_with_single_run():
     part = BlockPartition((4, 4, 4))
     kw = dict(test="block", p=12, n=60, partition=part, alpha=0.05)
-    half1 = run_level(SimulationPlan(reps=1000, seed=1, **kw))
-    half2 = run_level(SimulationPlan(reps=1000, seed=2, **kw))
-    single = run_level(SimulationPlan(reps=2000, seed=3, **kw))
+    half1 = run_level(SimulationPlan(reps=1000, seed=1, **kw), threads=THREADS)
+    half2 = run_level(SimulationPlan(reps=1000, seed=2, **kw), threads=THREADS)
+    single = run_level(SimulationPlan(reps=2000, seed=3, **kw), threads=THREADS)
     pooled_rate = (half1.rejections + half2.rejections) / 2000
     avg = (pooled_rate + single.rejection_rate) / 2
     pooled_se = math.sqrt(avg * (1 - avg) * (1 / 2000 + 1 / 2000))
@@ -446,8 +447,8 @@ def test_scenario_2_power_at_least_scenario_1():
     # the many-singletons layout detects the equicorrelated alternative
     # at least as well as three equal blocks at matched (delta, n, p)
     kw = dict(test="block", p=60, n=100, delta=0.06, reps=2000, seed=606)
-    s1 = run_power(SimulationPlan(scenario=1, **kw))
-    s2 = run_power(SimulationPlan(scenario=2, **kw))
+    s1 = run_power(SimulationPlan(scenario=1, **kw), threads=THREADS)
+    s2 = run_power(SimulationPlan(scenario=2, **kw), threads=THREADS)
     bound = 3.0 * math.sqrt(
         (s1.rejection_rate + s2.rejection_rate) / 2
         * (1 - (s1.rejection_rate + s2.rejection_rate) / 2) * 2 / 2000)
@@ -471,7 +472,7 @@ def test_power_matches_the_mean_shift_oracle(kw, part):
             normal_quantile(plan.alpha) - power_mean_shift(part, plan.delta) / plan.sigma)
         if predicted > 0.5:
             continue
-        rate = run_power(plan).rejection_rate
+        rate = run_power(plan, threads=THREADS).rejection_rate
         assert abs(rate - predicted) <= 3.0 * math.sqrt(predicted * (1 - predicted) / reps), (
             plan.delta, rate, predicted)
         checked += 1
@@ -490,5 +491,5 @@ def test_rate_difference_normal_vs_t15(reference_null_run):
 @pytest.mark.slow
 def test_correlation_test_level_window():
     plan = SimulationPlan(test="correlation", p=60, n=100, reps=2000, seed=42)
-    result = run_level(plan)
+    result = run_level(plan, threads=THREADS)
     assert 0.035 <= result.rejection_rate <= 0.065
