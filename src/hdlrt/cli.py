@@ -25,6 +25,7 @@ import math
 import os
 import sys
 from array import array
+from collections.abc import Iterator
 
 # The CLI's parallelism is its --threads worker processes, which fork from
 # this one; a BLAS thread pool in each of them only oversubscribes the
@@ -80,7 +81,8 @@ def parse_csv(path: str) -> np.ndarray:
     every file the exact one accepts.
 
     Raises RaggedRows (with the 1-based file row) on width mismatches and
-    ParseError on non-numeric or non-finite cells.
+    ParseError on non-numeric or non-finite cells and on records the CSV
+    reader refuses.
     """
     data = None
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -99,11 +101,26 @@ def parse_csv(path: str) -> np.ndarray:
             if first is not None:
                 data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
                                   dtype=np.float64)
-        except ValueError:
+        except (ValueError, csv.Error):
             pass
     if data is None or data.shape[0] == 0 or not np.isfinite(data).all():
         return _parse_csv_rows(path)
     return data
+
+
+def _csv_records(path: str, reader) -> Iterator[tuple[int, list[str]]]:
+    """(1-based row, cells) of each filled record of ``reader``.  A record
+    the reader refuses, such as one with a field over ``csv``'s size limit,
+    raises ParseError with its row."""
+    for idx in itertools.count(1):
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ParseError(f"{path}: row {idx}: {exc}", row=idx) from None
+        if _is_filled(row):
+            yield idx, row
 
 
 def _parse_csv_rows(path: str) -> np.ndarray:
@@ -122,8 +139,7 @@ def _parse_csv_rows(path: str) -> np.ndarray:
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: byte offset {exc.start}: not valid UTF-8") from None
     text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
-    rows = ((idx, row) for idx, row in enumerate(csv.reader(text), start=1)
-            if _is_filled(row))
+    rows = _csv_records(path, csv.reader(text))
     first = next(rows, None)
     if first is None:
         raise ParseError(f"{path}: no data rows")

@@ -20,13 +20,16 @@ into chunks on a ``ProcessPoolExecutor``.  ``run_level``, ``run_power`` and
 ``run_histogram`` each start their own pool and shut it down before they
 return; ``run_power_curve`` keeps one pool in a thread-local slot from its
 first pooled delta on, and shuts it down when the curve returns or raises.
+The pool machinery (``concurrent.futures`` and ``multiprocessing``) loads
+with the first pooled run, not with this module, so a single-worker run
+never imports it.  The worker count is an integer, at least 1.
 """
 
 from __future__ import annotations
 
 import operator
+import sys
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
@@ -208,6 +211,16 @@ def _run_chunk(plan: SimulationPlan, start: int, stop: int) -> np.ndarray:
     return (statistics - plan.mu) / plan.sigma
 
 
+def __getattr__(name: str):
+    # ``ProcessPoolExecutor`` resolves here on first use (PEP 562) and is a
+    # module global from then on, which tests and benchmarks may replace.
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    globals()[name] = ProcessPoolExecutor  # later lookups skip this hook
+    return ProcessPoolExecutor
+
+
 # The pool that the deltas of the power curve running on this thread share:
 # None until its first pooled delta, unset outside ``run_power_curve``.
 _curve = threading.local()
@@ -218,17 +231,21 @@ def _pool(threads: int):
     """A pool of ``threads`` workers: inside ``run_power_curve``, the curve's
     pool (started on first use and left open for the next delta), else a
     new pool shut down on exit."""
+    # Looked up on the module, so that the first pooled run imports the
+    # class and a replacement put there is used.
+    executor = sys.modules[__name__].ProcessPoolExecutor
     if hasattr(_curve, "pool"):
         if _curve.pool is None:
-            _curve.pool = ProcessPoolExecutor(max_workers=threads)
+            _curve.pool = executor(max_workers=threads)
         yield _curve.pool
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with executor(max_workers=threads) as pool:
             yield pool
 
 
 def _simulate(plan: SimulationPlan, threads: int = 1) -> np.ndarray:
     """z values for all replications, indexed by replication."""
+    threads = _integer("threads", threads)
     if threads < 1:
         raise InvalidPlan(f"threads must be at least 1, got {threads}")
     reps = plan.reps

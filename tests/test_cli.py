@@ -243,6 +243,22 @@ def test_parse_error_exit_1(tmp_path, capsys):
     assert "row 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row", [1, 3])
+def test_field_over_the_csv_limit_is_one_error_line_exit_1(tmp_path, capsys, row):
+    lines = ["1,2", "3,4", "5,6", "7,8"]
+    lines[row - 1] = "1" * 200_000 + ",5"
+    path = tmp_path / "wide_field.csv"
+    path.write_text("\n".join(lines) + "\n")
+    for read in (parse_csv, _parse_csv_rows):
+        with pytest.raises(ParseError) as err:
+            read(str(path))
+        assert (err.value.row, err.value.col) == (row, None)
+    assert run_cli(["test", "corr", "--input", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"hdlrt: error: {path}: row {row}: field larger than field limit (131072)\n"
+
+
 def test_eqcov_two_files(tmp_path):
     a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
     write_data(a_path, n=30, p=5, seed=1)

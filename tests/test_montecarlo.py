@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -288,6 +289,16 @@ def test_run_level_rejects_nonzero_delta():
 def test_threads_below_one_rejected(run, threads):
     with pytest.raises(InvalidPlan, match="threads"):
         run(small_plan(reps=4), threads=threads)
+
+
+@pytest.mark.parametrize("threads", [2.0, "2"], ids=["float", "str"])
+@pytest.mark.parametrize("run", [run_level, run_power, run_histogram, run_power_curve],
+                         ids=lambda f: f.__name__)
+def test_non_integer_threads_rejected_before_any_pool(pools, run, threads):
+    message = f"threads must be an integer, got {threads!r}"
+    with pytest.raises(InvalidPlan, match=re.escape(message)):
+        run(small_plan(reps=12), threads=threads)
+    assert pools[0] == []
 
 
 def test_run_power_rejects_eqcov():

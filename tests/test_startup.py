@@ -1,11 +1,14 @@
-"""Start-up policy: ``import hdlrt`` loads no numpy, and the CLI runs numpy's
-BLAS on one thread unless the user chose a count.
+"""Start-up policy: ``import hdlrt`` loads no numpy, the CLI runs numpy's
+BLAS on one thread unless the user chose a count, and the process-pool
+machinery loads only when a run uses more than one worker.
 
 Each check runs in a fresh interpreter, because the BLAS thread count is
-fixed when numpy loads, and this test process loaded it long ago.
+fixed when numpy loads, and this test process loaded numpy and
+``multiprocessing`` long ago.
 """
 
 import glob
+import json
 import os
 import subprocess
 import sys
@@ -107,3 +110,52 @@ def test_output_identical_at_one_and_two_blas_threads(tmp_path):
     for argv in commands:
         cli = ["-m", "hdlrt.cli", *argv]
         assert run(cli, OPENBLAS_NUM_THREADS="1") == run(cli, OPENBLAS_NUM_THREADS="2"), argv[:2]
+
+
+POOL_MODULES = ("concurrent.futures", "multiprocessing")
+
+
+def pool_modules_after(code: str) -> list[str]:
+    """The pool modules loaded in a fresh interpreter after ``code``, which
+    prints nothing."""
+    return json.loads(python(f"import json, sys\n{code}\n"
+                             f"print(json.dumps([m for m in {POOL_MODULES!r} "
+                             "if m in sys.modules]))"))
+
+
+def cli_main(*argv: str) -> str:
+    return f"from hdlrt.cli import main\nassert main({list(argv)!r}) == 0"
+
+
+def test_single_worker_commands_load_no_pool(tmp_path):
+    path = tmp_path / "small.csv"
+    np.savetxt(path, np.random.default_rng(20).standard_normal((40, 6)), delimiter=",")
+    out = str(tmp_path / "out")
+    for code in [
+        "import hdlrt.cli",
+        cli_main("test", "block", "--input", str(path), "--partition", "3x2", "--out", out),
+        cli_main("simulate", "level", "--n", "30", "--p", "6", "--blocks", "3x2",
+                 "--reps", "20", "--threads", "1", "--out", out),
+    ]:
+        assert pool_modules_after(code) == [], code
+
+
+def test_pooled_run_loads_the_pool_and_prints_the_same_bytes(tmp_path):
+    argv = ["simulate", "power", "--test", "corr", "--n", "40", "--p", "8", "--reps", "40",
+            "--deltas", "0,0.2", "--seed", "20"]
+    one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+    assert pool_modules_after(cli_main(*argv, "--threads", "1", "--out", str(one))) == []
+    assert pool_modules_after(cli_main(*argv, "--threads", "2", "--out", str(two))) == list(
+        POOL_MODULES)
+    assert one.read_bytes() == two.read_bytes()
+
+
+def test_montecarlo_resolves_the_pool_class_on_first_use():
+    assert python(
+        "import concurrent.futures\n"
+        "from hdlrt import montecarlo\n"
+        "assert montecarlo.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor\n"
+        "try:\n"
+        "    montecarlo.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n") == "module 'hdlrt.montecarlo' has no attribute 'no_such_name'\n"
