@@ -12,25 +12,27 @@ Batches: block and correlation replications are evaluated ``_BATCH`` at a
 time.  Each is drawn from its own stream into one preallocated stack
 (``_BATCH``, n, p), and the stack goes through ``apply_root`` and the
 statistic in one call each; the kernels give every slice of a stack the
-bits it gets on its own, so batching changes no result.  eqcov
+bits it gets on its own, so batching changes no result.  A power curve
+draws each batch once and evaluates every delta of its grid on it, so
+its results are those of one ``run_power`` per delta.  eqcov
 replications are evaluated one at a time.
 
 Worker processes: a run on more than one worker splits its replications
-into chunks on a ``ProcessPoolExecutor``.  ``run_level``, ``run_power`` and
-``run_histogram`` each start their own pool and shut it down before they
-return; ``run_power_curve`` keeps one pool in a thread-local slot from its
-first pooled delta on, and shuts it down when the curve returns or raises.
-The pool machinery (``concurrent.futures`` and ``multiprocessing``) loads
+into chunks on a ``ProcessPoolExecutor`` and shuts the pool down before it
+returns.  ``run_power_curve`` computes every delta in one such pass, each
+chunk drawing its replications once for the whole grid, and then hands
+each delta's z to a ``run_power`` call through a thread-local slot.  The
+pool machinery (``concurrent.futures`` and ``multiprocessing``) loads
 with the first pooled run, not with this module, so a single-worker run
 never imports it.  The worker count is an integer, at least 1.
 """
 
 from __future__ import annotations
 
+import numbers
 import operator
 import sys
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -50,6 +52,8 @@ _TESTS = ("block", "correlation", "eqcov")
 #: Range of the histogram's interior bins; z outside it lands in the two
 #: overflow bins.
 HISTOGRAM_RANGE = (-4.0, 4.0)
+
+_EQCOV_POWER = "power simulation is defined for the block and correlation tests only"
 
 # Block and correlation replications per kernel call.  Two amortize the
 # per-call overhead of the small LAPACK calls; larger stacks add memory.
@@ -92,10 +96,12 @@ class SimulationPlan:
     ``n_sizes``, at least two groups each with n_j > p.  ``delta`` selects
     the compound-symmetry alternative (1-delta) I + delta * ones, with
     delta = 0 the null.  Sizes, ``p``, ``reps`` and ``seed`` are integers,
-    the seed in [0, 2**64).  ``mu`` and ``sigma``, the read-only centering
-    and scale of the statistic the engine stores (eqcov: mu_n and n
-    sigma_n), are set when the plan is built; a plan that cannot run, one
-    the constants reject included, raises ``InvalidPlan`` then.
+    the seed in [0, 2**64); ``delta`` and ``alpha`` are real numbers,
+    ``dist`` a ``DistributionSpec`` and ``partition`` a ``BlockPartition``.
+    ``mu`` and ``sigma``, the read-only centering and scale of the
+    statistic the engine stores (eqcov: mu_n and n sigma_n), are set when
+    the plan is built; a plan that cannot run, one the constants reject
+    included, raises ``InvalidPlan`` then.
     """
 
     test: str
@@ -121,10 +127,17 @@ class SimulationPlan:
             raise InvalidPlan(f"reps must be positive, got {self.reps}")
         if not 0 <= self.seed < 1 << 64:
             raise InvalidPlan(f"seed must be in [0, 2**64), got {self.seed}")
+        for name in ("alpha", "delta"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise InvalidPlan(f"{name} must be a number, got {getattr(self, name)!r}")
         if not 0.0 < self.alpha < 1.0:
             raise InvalidPlan(f"alpha must be in (0, 1), got {self.alpha}")
         if not 0.0 <= self.delta < 1.0:
             raise InvalidPlan(f"delta must be in [0, 1), got {self.delta}")
+        if not isinstance(self.dist, DistributionSpec):
+            raise InvalidPlan(f"dist must be a DistributionSpec, got {self.dist!r}")
+        if self.partition is not None and not isinstance(self.partition, BlockPartition):
+            raise InvalidPlan(f"partition must be a BlockPartition, got {self.partition!r}")
         if self.p < 2:
             raise InvalidPlan(f"p must be at least 2, got {self.p}")
         if self.test != "block" and (self.partition is not None or self.scenario is not None):
@@ -183,31 +196,32 @@ class SimulationResult:
     ks_statistic: float | None = None
 
 
-def _run_chunk(plan: SimulationPlan, start: int, stop: int) -> np.ndarray:
-    """z of replications start, ..., stop - 1."""
-    statistics = np.empty(stop - start)
+def _run_chunk(plan: SimulationPlan, deltas: tuple[float, ...], start: int,
+               stop: int) -> np.ndarray:
+    """z of replications start, ..., stop - 1, one row per delta of
+    ``deltas``; every delta is evaluated on the same draws."""
+    statistics = np.empty((len(deltas), stop - start))
     if plan.test == "eqcov":
         for rep in range(start, stop):
             rng = entry_generator(plan.seed, rep)
             groups = [draw_entries(rng, nj, plan.p, plan.dist) for nj in plan.n_sizes]
-            statistics[rep - start] = 2.0 * log_lambda2(GroupedSample(tuple(groups)))
+            statistics[0, rep - start] = 2.0 * log_lambda2(GroupedSample(tuple(groups)))
     else:
-        root = compound_symmetry_sqrt(plan.delta, plan.p) if plan.delta > 0.0 else None
+        roots = [compound_symmetry_sqrt(d, plan.p) if d > 0.0 else None for d in deltas]
         batch = np.empty((_BATCH, plan.n, plan.p))
         for lo in range(start, stop, _BATCH):
-            x = batch[:min(_BATCH, stop - lo)]
-            for i in range(len(x)):
+            white = batch[:min(_BATCH, stop - lo)]
+            for i in range(len(white)):
                 rng = entry_generator(plan.seed, lo + i)
-                x[i] = draw_entries(rng, plan.n, plan.p, plan.dist)
-            if root is not None:
-                # back into the buffer, so that the statistic runs with one stack
-                # alive and peak memory stays at the unbatched engine's
-                x[...] = apply_root(x, root)
-            if plan.test == "block":
-                values = log_vn(x, plan.partition)
-            else:
-                values = log_det_correlation(x)
-            statistics[lo - start:lo - start + len(x)] = values
+                white[i] = draw_entries(rng, plan.n, plan.p, plan.dist)
+            for row, root in zip(statistics, roots):
+                # a new stack per delta: the white draws stay for the next one
+                x = white if root is None else apply_root(white, root)
+                if plan.test == "block":
+                    values = log_vn(x, plan.partition)
+                else:
+                    values = log_det_correlation(x)
+                row[lo - start:lo - start + len(x)] = values
     return (statistics - plan.mu) / plan.sigma
 
 
@@ -221,41 +235,40 @@ def __getattr__(name: str):
     return ProcessPoolExecutor
 
 
-# The pool that the deltas of the power curve running on this thread share:
-# None until its first pooled delta, unset outside ``run_power_curve``.
-_curve = threading.local()
-
-
-@contextmanager
-def _pool(threads: int):
-    """A pool of ``threads`` workers: inside ``run_power_curve``, the curve's
-    pool (started on first use and left open for the next delta), else a
-    new pool shut down on exit."""
-    # Looked up on the module, so that the first pooled run imports the
-    # class and a replacement put there is used.
-    executor = sys.modules[__name__].ProcessPoolExecutor
-    if hasattr(_curve, "pool"):
-        if _curve.pool is None:
-            _curve.pool = executor(max_workers=threads)
-        yield _curve.pool
-    else:
-        with executor(max_workers=threads) as pool:
-            yield pool
-
-
-def _simulate(plan: SimulationPlan, threads: int = 1) -> np.ndarray:
-    """z values for all replications, indexed by replication."""
+def _simulate(plan: SimulationPlan, deltas: tuple[float, ...], threads: int) -> np.ndarray:
+    """z of every replication of ``plan`` at each delta of ``deltas``: one
+    row per delta, indexed by replication."""
     threads = _integer("threads", threads)
     if threads < 1:
         raise InvalidPlan(f"threads must be at least 1, got {threads}")
     reps = plan.reps
     if threads <= 1 or reps < 2 * threads:
-        return _run_chunk(plan, 0, reps)
+        return _run_chunk(plan, deltas, 0, reps)
     bounds = np.linspace(0, reps, 4 * threads + 1, dtype=int)
-    with _pool(threads) as pool:
-        futures = [pool.submit(_run_chunk, plan, int(a), int(b))
+    # Looked up on the module, so that the first pooled run imports the
+    # class and a replacement put there is used.
+    with sys.modules[__name__].ProcessPoolExecutor(max_workers=threads) as pool:
+        futures = [pool.submit(_run_chunk, plan, deltas, int(a), int(b))
                    for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        return np.concatenate([fut.result() for fut in futures])
+        return np.concatenate([fut.result() for fut in futures], axis=1)
+
+
+# The rows of z that the power curve running on this thread has computed,
+# as an iterator of (plan, z) that its ``run_power`` calls take in order;
+# unset outside ``run_power_curve``.
+_curve = threading.local()
+
+
+def _z(plan: SimulationPlan, threads: int) -> np.ndarray:
+    """z of every replication of ``plan``: the row the power curve running
+    on this thread hands over, else simulated for this plan alone."""
+    rows = getattr(_curve, "rows", None)
+    if rows is None:
+        return _simulate(plan, (plan.delta,), threads)[0]
+    handed, z = next(rows)
+    if handed != plan:
+        raise RuntimeError(f"power curve row is for delta={handed.delta}, not {plan.delta}")
+    return z
 
 
 def _aggregate(plan: SimulationPlan, z: np.ndarray) -> SimulationResult:
@@ -275,7 +288,7 @@ def run_level(plan: SimulationPlan, threads: int = 1) -> SimulationResult:
     """Empirical rejection rate under the null (requires delta = 0)."""
     if plan.delta != 0.0:
         raise InvalidPlan("level runs require delta = 0; use run_power for alternatives")
-    return _aggregate(plan, _simulate(plan, threads))
+    return _aggregate(plan, _z(plan, threads))
 
 
 def run_power(plan: SimulationPlan, threads: int = 1) -> SimulationResult:
@@ -286,26 +299,29 @@ def run_power(plan: SimulationPlan, threads: int = 1) -> SimulationResult:
     null hypothesis true, so there is no alternative to simulate.
     """
     if plan.test == "eqcov":
-        raise InvalidPlan("power simulation is defined for the block and correlation tests only")
-    return _aggregate(plan, _simulate(plan, threads))
+        raise InvalidPlan(_EQCOV_POWER)
+    return _aggregate(plan, _z(plan, threads))
 
 
 def run_power_curve(plan: SimulationPlan, deltas=DEFAULT_DELTA_GRID,
                     threads: int = 1) -> list[tuple[float, SimulationResult]]:
     """``run_power`` over a delta grid, reusing the plan's seed so the
-    replications are coupled across deltas.  All deltas run on one pool of
-    ``threads`` workers, shut down before the curve returns or raises."""
-    _curve.pool = None
+    replications are coupled across deltas.  Each replication is drawn once
+    and every delta is evaluated on it, in one pass over the replications
+    on one pool of ``threads`` workers; every delta's plan is built, and an
+    invalid one raises, before the first draw."""
+    plans = [replace(plan, delta=float(d)) for d in deltas]
+    if not plans:
+        return []
+    if plan.test == "eqcov":
+        raise InvalidPlan(_EQCOV_POWER)
+    rows = _simulate(plan, tuple(each.delta for each in plans), threads)
+    # each delta still goes through run_power, which takes its row in order
+    _curve.rows = zip(plans, rows)
     try:
-        return [
-            (float(d), run_power(replace(plan, delta=float(d)), threads=threads))
-            for d in deltas
-        ]
+        return [(each.delta, run_power(each, threads=threads)) for each in plans]
     finally:
-        pool = _curve.pool
-        del _curve.pool
-        if pool is not None:
-            pool.shutdown()
+        del _curve.rows
 
 
 def ks_distance_to_normal(z: np.ndarray) -> float:
@@ -328,7 +344,7 @@ def run_histogram(plan: SimulationPlan, bins: int = 40, threads: int = 1) -> Sim
         raise InvalidPlan("histogram runs require delta = 0")
     if bins < 1:
         raise InvalidPlan(f"bins must be positive, got {bins}")
-    z = _simulate(plan, threads)
+    z = _z(plan, threads)
     lo, hi = HISTOGRAM_RANGE
     edges = np.linspace(lo, hi, bins + 1)
     interior, _ = np.histogram(z[(z >= lo) & (z <= hi)], bins=edges)

@@ -27,10 +27,10 @@ from .errors import DimensionMismatch
 class DistributionSpec:
     """One of the three supported i.i.d. entry distributions.
 
-    ``kind`` is "normal", "t" (with ``df`` degrees of freedom, at least 5
-    so the fourth moment margin required by the normal approximations
-    holds) or "exponential" (no parameter: the standardized law is the
-    same for every rate).
+    ``kind`` is "normal", "t" (with an integer ``df`` of degrees of
+    freedom, at least 5 so the fourth moment margin required by the normal
+    approximations holds) or "exponential" (no parameter: the standardized
+    law is the same for every rate).
     """
 
     kind: str
@@ -41,8 +41,14 @@ class DistributionSpec:
             if self.df is not None:
                 raise ValueError(f"{self.kind} takes no parameters")
         elif self.kind == "t":
-            if self.df is None or self.df < 5:
+            try:  # numpy integers pass and are stored as int; 5.5 and inf do not
+                df = operator.index(self.df)
+            except TypeError:
+                message = f"standardized t requires an integer df, got {self.df!r}"
+                raise ValueError(message) from None
+            if df < 5:
                 raise ValueError("standardized t requires df >= 5")
+            object.__setattr__(self, "df", df)
         else:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
 

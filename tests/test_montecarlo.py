@@ -140,6 +140,22 @@ def test_plan_rejects_seed_outside_64_bits(seed):
     assert str(exc.value) == f"seed must be in [0, 2**64), got {seed}"
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(SMALL_BLOCK, dist="t15"), "dist must be a DistributionSpec, got 't15'"),
+    (dict(test="block", p=6, n=30, partition=(3, 3)),
+     "partition must be a BlockPartition, got (3, 3)"),
+    (dict(SMALL_BLOCK, delta="0.1"), "delta must be a number, got '0.1'"),
+    (dict(SMALL_BLOCK, alpha="0.05"), "alpha must be a number, got '0.05'"),
+], ids=["dist_name", "partition_tuple", "delta_str", "alpha_str"])
+def test_plan_rejects_wrong_types(kwargs, message):
+    # each used to pass construction and fail later: dist with an
+    # AttributeError inside draw_entries (in a worker on a pooled run),
+    # partition with an AttributeError, delta and alpha with a TypeError
+    with pytest.raises(InvalidPlan) as exc:
+        SimulationPlan(**kwargs)
+    assert str(exc.value) == message
+
+
 def test_plan_takes_numpy_integers_as_ints():
     plan = SimulationPlan(test="eqcov", p=np.int64(4), n_sizes=(np.int32(15), 20),
                           reps=np.int64(3), seed=np.uint8(3))
@@ -363,12 +379,88 @@ def test_pooled_power_curve_equals_serial_curve(pools):
             assert np.array_equal(getattr(one, field.name), getattr(two, field.name)), field.name
 
 
-def test_power_curve_raising_mid_curve_shuts_its_pool(pools):
+def test_power_curve_raising_mid_curve_shuts_its_pool(pools, monkeypatch):
+    # the statistic is patched before the workers fork, so it raises in them
+    # after the curve's pool started
+    def failing(data, part):
+        raise ZeroDivisionError("statistic failed")
+
     started, shut = pools
-    with pytest.raises(InvalidPlan, match="delta"):
-        run_power_curve(small_plan(reps=12), deltas=(0.0, 1.5), threads=2)
+    with monkeypatch.context() as patch, pytest.raises(ZeroDivisionError, match="failed"):
+        patch.setattr(montecarlo, "log_vn", failing)
+        run_power_curve(small_plan(reps=12), deltas=(0.0, 0.2), threads=2)
     assert len(started) == 1
     assert _no_shared_pool_left(started, shut)
+
+
+def test_power_curve_invalid_delta_raises_before_any_pool(pools):
+    # every delta's plan is built before the first draw
+    with pytest.raises(InvalidPlan, match="delta"):
+        run_power_curve(small_plan(reps=12), deltas=(0.0, 1.5), threads=2)
+    assert pools[0] == []
+    assert _no_shared_pool_left(*pools)
+
+
+def test_power_curve_raising_in_its_run_power_clears_the_hand_off(monkeypatch):
+    def failing(plan, z):
+        raise ZeroDivisionError("aggregate failed")
+
+    with monkeypatch.context() as patch, pytest.raises(ZeroDivisionError, match="failed"):
+        patch.setattr(montecarlo, "_aggregate", failing)
+        run_power_curve(small_plan(reps=6), deltas=(0.0, 0.2))
+    # a later lone run simulates its own plan, not a row the curve left
+    assert not hasattr(montecarlo._curve, "rows")
+    assert run_power(small_plan(reps=7, delta=0.2)).reps == 7
+
+
+# ---------------------------------------------------------------------------
+# power curves: one draw per replication for the whole grid
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("plan, deltas", [
+    (SimulationPlan(test="block", n=40, p=12, partition=BlockPartition((8, 4)), reps=13,
+                    seed=5, dist=DistributionSpec.centered_exponential()), (0.0, 0.2, 0.4)),
+    (SimulationPlan(test="correlation", n=30, p=8, reps=13, seed=6,
+                    dist=DistributionSpec.parse("t15")), (0.3, 0.0, 0.3, 0.1)),
+], ids=["block", "correlation_duplicate_deltas"])
+def test_power_curve_equals_one_run_power_per_delta(plan, deltas, threads):
+    # odd reps leave an uneven last batch; a delta listed twice gets its
+    # result twice
+    curve = run_power_curve(plan, deltas=deltas, threads=threads)
+    assert [d for d, _ in curve] == list(deltas)
+    for d, result in curve:
+        alone = run_power(dataclasses.replace(plan, delta=d), threads=threads)
+        for field in dataclasses.fields(SimulationResult):
+            assert np.array_equal(getattr(result, field.name), getattr(alone, field.name)), \
+                field.name
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The number of draw_entries calls montecarlo makes on this process."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return draw_entries(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "draw_entries", counting)
+    return calls
+
+
+@pytest.mark.parametrize("test", ["block", "correlation"])
+def test_power_curve_draws_each_replication_once(draws, test):
+    plan = small_plan(reps=7) if test == "block" else SimulationPlan(
+        test="correlation", n=30, p=8, reps=7, seed=6)
+    curve = run_power_curve(plan, deltas=(0.0, 0.1, 0.2, 0.1))
+    assert len(curve) == 4
+    assert len(draws) == plan.reps
+
+
+def test_empty_power_curve_draws_nothing(draws):
+    assert run_power_curve(small_plan(reps=7), deltas=()) == []
+    assert draws == []
 
 
 @pytest.mark.parametrize("run", [run_level, run_power, run_histogram],

@@ -39,6 +39,22 @@ def test_spec_rejects_low_df():
         DistributionSpec.standardized_t(4)
 
 
+@pytest.mark.parametrize("df", [float("inf"), 5.5, 15.0, "15", None],
+                         ids=["inf", "5_5", "float_15", "str", "none"])
+def test_spec_rejects_non_integer_df(df):
+    # inf used to be accepted and drew NaN everywhere; 5.5 gave the label
+    # "t5.5", which parse cannot read back
+    with pytest.raises(ValueError):
+        DistributionSpec.standardized_t(df)
+
+
+def test_spec_stores_numpy_integer_df_as_int():
+    spec = DistributionSpec.standardized_t(np.int64(15))
+    assert type(spec.df) is int
+    assert spec == DistributionSpec.parse("t15")
+    assert DistributionSpec.parse(spec.label) == spec
+
+
 def test_spec_rejects_unknown():
     # exponential names carry no rate, so "expinf" is no distribution
     for name in ("cauchy", "expinf"):
