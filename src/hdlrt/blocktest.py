@@ -16,7 +16,6 @@ of k values, each bit for bit the value of that slice on its own.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,7 @@ from .errors import (
     InvalidAlpha,
     InvalidDesign,
     ZeroVariance,
+    _as_integer,
 )
 from .linalg import (
     _EPS,
@@ -85,13 +85,6 @@ def _validate_alpha(alpha: float) -> float:
     return a
 
 
-def _integer(name: str, value) -> int:
-    try:  # numpy integers pass; a float is refused, not truncated
-        return operator.index(value)
-    except TypeError:
-        raise InvalidDesign(f"{name} must be an integer, got {value!r}") from None
-
-
 def _standardize(log_statistic: float, mu: float, sigma: float, alpha: float,
                  warnings: tuple[str, ...]) -> TestReport:
     z = (log_statistic - mu) / sigma
@@ -138,7 +131,7 @@ def block_constants(n: int, part: BlockPartition) -> NullConstants:
 
     Requires 2 <= p < n and q >= 2; sigma_n^2 is strictly positive there.
     """
-    n = _integer("n", n)
+    n = _as_integer("n", n, InvalidDesign)
     p, q = part.p, part.q
     if q < 2:
         raise InvalidDesign(f"at least two blocks required, got q={q}")
@@ -220,7 +213,7 @@ def correlation_constants(n: int, p: int) -> NullConstants:
     This is the all-singleton specialization of ``block_constants``; the
     two agree to rounding.
     """
-    n, p = _integer("n", n), _integer("p", p)
+    n, p = _as_integer("n", n, InvalidDesign), _as_integer("p", p, InvalidDesign)
     if not 2 <= p < n:
         raise InvalidDesign(f"requires 2 <= p < n, got p={p}, n={n}")
     unit_log = math.log1p(-1.0 / n)

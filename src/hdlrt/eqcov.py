@@ -24,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionExceedsSample, DimensionMismatch, InvalidDesign
-from .blocktest import NullConstants, TestReport, _integer, _standardize, _validate_alpha
+from .errors import DimensionExceedsSample, DimensionMismatch, InvalidDesign, _as_integer
+from .blocktest import _RATIO_WARN, NullConstants, TestReport, _standardize, _validate_alpha
 # log_det_incremental is unused here; perfbench/tracing.py WRAPPED wraps this name
 from .linalg import _as_data_matrix, _mirror, log_det_cholesky, log_det_incremental
 
@@ -120,8 +120,8 @@ def eqcov_constants(n_sizes: Sequence[int], p: int) -> NullConstants:
     design; a quantitative lower bound, n^2 sigma_n^2 >= p^2 (q - 1) / 2,
     is asserted in the test suite.
     """
-    sizes = tuple(_integer("n_j", v) for v in n_sizes)
-    p = _integer("p", p)
+    sizes = tuple(_as_integer("n_j", v, InvalidDesign) for v in n_sizes)
+    p = _as_integer("p", p, InvalidDesign)
     if len(sizes) < 2:
         raise InvalidDesign(f"at least two groups required, got {len(sizes)}")
     if p < 1:
@@ -143,9 +143,9 @@ def eqcov_constants(n_sizes: Sequence[int], p: int) -> NullConstants:
 def _eqcov_warnings(n_sizes: tuple[int, ...], p: int) -> tuple[str, ...]:
     notes = []
     worst = max(p / nj for nj in n_sizes)
-    if worst > 0.95:
+    if worst > _RATIO_WARN:
         notes.append(
-            f"max_j p/n_j = {worst:.3f} exceeds 0.95; the normal approximation "
+            f"max_j p/n_j = {worst:.3f} exceeds {_RATIO_WARN}; the normal approximation "
             "degrades as p/n_j approaches 1"
         )
     n = sum(n_sizes)

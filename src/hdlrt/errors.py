@@ -6,6 +6,8 @@ from :class:`HdlrtError`; input-file problems derive from
 latter to exit code 1.
 """
 
+import operator
+
 
 class HdlrtError(Exception):
     """Base class for all errors raised by this package."""
@@ -58,3 +60,20 @@ class ParseError(InputFileError):
 
 class RaggedRows(ParseError):
     """A CSV row has a different number of fields than the first row."""
+
+
+# The package's integer rule and 64-bit-word rule; each raises the error
+# class its caller names.
+def _as_integer(name: str, value, error: type[Exception]) -> int:
+    try:  # numpy integers pass; a float is refused, not truncated
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+
+
+def _as_word(name: str, value, error: type[Exception]) -> int:
+    """``value`` as an integer in [0, 2**64), as a Philox key word."""
+    word = _as_integer(name, value, error)
+    if not 0 <= word < 1 << 64:
+        raise error(f"{name} must be in [0, 2**64), got {word}")
+    return word

@@ -21,16 +21,16 @@ Worker processes: a run on more than one worker splits its replications
 into chunks on a ``ProcessPoolExecutor`` and shuts the pool down before it
 returns.  ``run_power_curve`` computes every delta in one such pass, each
 chunk drawing its replications once for the whole grid, and then hands
-each delta's z to a ``run_power`` call through a thread-local slot.  The
-pool machinery (``concurrent.futures`` and ``multiprocessing``) loads
-with the first pooled run, not with this module, so a single-worker run
-never imports it.  The worker count is an integer, at least 1.
+each delta's z to a ``run_power`` call through a thread-local slot that
+only ``run_power`` reads.  The pool machinery (``concurrent.futures`` and
+``multiprocessing``) loads with the first pooled run, not with this
+module, so a single-worker run never imports it.  The worker count is an
+integer, at least 1.
 """
 
 from __future__ import annotations
 
 import numbers
-import operator
 import sys
 import threading
 from dataclasses import dataclass, field, replace
@@ -39,7 +39,7 @@ import numpy as np
 
 from .blocktest import block_constants, correlation_constants, log_det_correlation, log_vn
 from .eqcov import GroupedSample, eqcov_constants, log_lambda2
-from .errors import InvalidDesign, InvalidPlan
+from .errors import InvalidDesign, InvalidPlan, _as_integer, _as_word
 from .linalg import BlockPartition, compound_symmetry_sqrt
 from .sampling import DistributionSpec, apply_root, draw_entries, entry_generator, normal_cdf
 
@@ -79,13 +79,6 @@ def scenario_partition(scenario: int, p: int) -> BlockPartition:
     raise InvalidPlan(f"scenario must be 1 or 2, got {scenario}")
 
 
-def _integer(name: str, value) -> int:
-    try:  # numpy integers pass; a float is refused, not truncated
-        return operator.index(value)
-    except TypeError:
-        raise InvalidPlan(f"{name} must be an integer, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class SimulationPlan:
     """Descriptor of one simulation experiment.
@@ -122,11 +115,10 @@ class SimulationPlan:
         if self.test not in _TESTS:
             raise InvalidPlan(f"test must be one of {_TESTS}, got {self.test!r}")
         for name in ("p", "reps", "seed"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+            object.__setattr__(self, name, _as_integer(name, getattr(self, name), InvalidPlan))
         if self.reps < 1:
             raise InvalidPlan(f"reps must be positive, got {self.reps}")
-        if not 0 <= self.seed < 1 << 64:
-            raise InvalidPlan(f"seed must be in [0, 2**64), got {self.seed}")
+        _as_word("seed", self.seed, InvalidPlan)
         for name in ("alpha", "delta"):
             if not isinstance(getattr(self, name), numbers.Real):
                 raise InvalidPlan(f"{name} must be a number, got {getattr(self, name)!r}")
@@ -145,12 +137,13 @@ class SimulationPlan:
         if self.test == "eqcov":
             if self.n_sizes is None or self.n is not None:
                 raise InvalidPlan("eqcov plans take n_sizes, not n")
-            object.__setattr__(self, "n_sizes", tuple(_integer("n_j", v) for v in self.n_sizes))
+            sizes = tuple(_as_integer("n_j", v, InvalidPlan) for v in self.n_sizes)
+            object.__setattr__(self, "n_sizes", sizes)
             constants, args, scale = eqcov_constants, (self.n_sizes, self.p), sum(self.n_sizes)
         else:
             if self.n is None or self.n_sizes is not None:
                 raise InvalidPlan(f"{self.test} plans take n, not n_sizes")
-            object.__setattr__(self, "n", _integer("n", self.n))
+            object.__setattr__(self, "n", _as_integer("n", self.n, InvalidPlan))
             if self.n <= self.p:
                 raise InvalidPlan(f"requires n > p, got n={self.n}, p={self.p}")
             if self.test == "correlation":
@@ -238,7 +231,7 @@ def __getattr__(name: str):
 def _simulate(plan: SimulationPlan, deltas: tuple[float, ...], threads: int) -> np.ndarray:
     """z of every replication of ``plan`` at each delta of ``deltas``: one
     row per delta, indexed by replication."""
-    threads = _integer("threads", threads)
+    threads = _as_integer("threads", threads, InvalidPlan)
     if threads < 1:
         raise InvalidPlan(f"threads must be at least 1, got {threads}")
     reps = plan.reps
@@ -254,21 +247,9 @@ def _simulate(plan: SimulationPlan, deltas: tuple[float, ...], threads: int) -> 
 
 
 # The rows of z that the power curve running on this thread has computed,
-# as an iterator of (plan, z) that its ``run_power`` calls take in order;
-# unset outside ``run_power_curve``.
+# as an iterator that its ``run_power`` calls take in order; unset outside
+# ``run_power_curve``.
 _curve = threading.local()
-
-
-def _z(plan: SimulationPlan, threads: int) -> np.ndarray:
-    """z of every replication of ``plan``: the row the power curve running
-    on this thread hands over, else simulated for this plan alone."""
-    rows = getattr(_curve, "rows", None)
-    if rows is None:
-        return _simulate(plan, (plan.delta,), threads)[0]
-    handed, z = next(rows)
-    if handed != plan:
-        raise RuntimeError(f"power curve row is for delta={handed.delta}, not {plan.delta}")
-    return z
 
 
 def _aggregate(plan: SimulationPlan, z: np.ndarray) -> SimulationResult:
@@ -288,7 +269,7 @@ def run_level(plan: SimulationPlan, threads: int = 1) -> SimulationResult:
     """Empirical rejection rate under the null (requires delta = 0)."""
     if plan.delta != 0.0:
         raise InvalidPlan("level runs require delta = 0; use run_power for alternatives")
-    return _aggregate(plan, _z(plan, threads))
+    return _aggregate(plan, _simulate(plan, (plan.delta,), threads)[0])
 
 
 def run_power(plan: SimulationPlan, threads: int = 1) -> SimulationResult:
@@ -300,7 +281,9 @@ def run_power(plan: SimulationPlan, threads: int = 1) -> SimulationResult:
     """
     if plan.test == "eqcov":
         raise InvalidPlan(_EQCOV_POWER)
-    return _aggregate(plan, _z(plan, threads))
+    rows = getattr(_curve, "rows", None)  # set while a power curve runs
+    z = _simulate(plan, (plan.delta,), threads)[0] if rows is None else next(rows)
+    return _aggregate(plan, z)
 
 
 def run_power_curve(plan: SimulationPlan, deltas=DEFAULT_DELTA_GRID,
@@ -310,14 +293,15 @@ def run_power_curve(plan: SimulationPlan, deltas=DEFAULT_DELTA_GRID,
     and every delta is evaluated on it, in one pass over the replications
     on one pool of ``threads`` workers; every delta's plan is built, and an
     invalid one raises, before the first draw."""
-    plans = [replace(plan, delta=float(d)) for d in deltas]
+    # a delta that is not a real number goes to the plan as is, which refuses it
+    plans = [replace(plan, delta=float(d) if isinstance(d, numbers.Real) else d) for d in deltas]
     if not plans:
         return []
     if plan.test == "eqcov":
         raise InvalidPlan(_EQCOV_POWER)
     rows = _simulate(plan, tuple(each.delta for each in plans), threads)
     # each delta still goes through run_power, which takes its row in order
-    _curve.rows = zip(plans, rows)
+    _curve.rows = iter(rows)
     try:
         return [(each.delta, run_power(each, threads=threads)) for each in plans]
     finally:
@@ -342,9 +326,10 @@ def run_histogram(plan: SimulationPlan, bins: int = 40, threads: int = 1) -> Sim
     overflow bins, and attaches the KS distance to the standard normal."""
     if plan.delta != 0.0:
         raise InvalidPlan("histogram runs require delta = 0")
+    bins = _as_integer("bins", bins, InvalidPlan)
     if bins < 1:
         raise InvalidPlan(f"bins must be positive, got {bins}")
-    z = _z(plan, threads)
+    z = _simulate(plan, (plan.delta,), threads)[0]
     lo, hi = HISTOGRAM_RANGE
     edges = np.linspace(lo, hi, bins + 1)
     interior, _ = np.histogram(z[(z >= lo) & (z <= hi)], bins=edges)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, _as_word
 
 
 @dataclass(frozen=True)
@@ -92,18 +92,8 @@ def entry_generator(seed: int, stream: int = 0) -> np.random.Generator:
     the same pair always reproduces the same draws.  Both are integers in
     [0, 2**64); anything else raises ValueError.
     """
-    key = _key_word("seed", seed) | _key_word("stream", stream) << 64
+    key = _as_word("seed", seed, ValueError) | _as_word("stream", stream, ValueError) << 64
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _key_word(name: str, value) -> int:
-    try:
-        word = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if not 0 <= word < 1 << 64:
-        raise ValueError(f"{name} must be in [0, 2**64), got {word}")
-    return word
 
 
 def draw_entries(rng: np.random.Generator, n: int, p: int, dist: DistributionSpec) -> np.ndarray:

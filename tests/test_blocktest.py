@@ -20,6 +20,7 @@ from hdlrt.blocktest import (
 from hdlrt.errors import (
     DegenerateColumn,
     DimensionExceedsSample,
+    DimensionMismatch,
     InvalidAlpha,
     InvalidDesign,
     ZeroVariance,
@@ -279,6 +280,11 @@ def test_log_det_correlation_equals_unit_partition(rng):
     assert abs(direct - via_blocks) < 1e-10
 
 
+def test_log_det_correlation_requires_p_below_n(rng):
+    with pytest.raises(DimensionExceedsSample, match=r"^requires p < n, got p=5, n=5$"):
+        log_det_correlation(rng.standard_normal((5, 5)))
+
+
 def test_log_det_correlation_zero_variance_column(rng):
     data = rng.standard_normal((20, 3))
     data[:, 1] = 0.0
@@ -450,3 +456,32 @@ def test_variance_identity_diagnostic_regime():
     const = block_constants(200, part)
     closed = sigma1_closed_form(200, part)
     assert abs(closed - const.sigma_n ** 2) <= 0.05
+
+
+# ---------------------------------------------------------------------------
+# data the statistics refuse
+# ---------------------------------------------------------------------------
+
+def _with_cell(value):
+    data = np.ones((10, 4))
+    data[3, 2] = value
+    return data
+
+
+@pytest.mark.parametrize("data, error, message", [
+    (np.ones(5), DimensionMismatch, "data must be 2-d (n x p), got shape (5,)"),
+    (np.empty((0, 4)), DimensionMismatch, "data must be non-empty, got shape (0, 4)"),
+    (_with_cell(np.nan), ValueError, "data contains non-finite entries"),
+    (_with_cell(np.inf), ValueError, "data contains non-finite entries"),
+], ids=["one_d", "no_rows", "nan_cell", "inf_cell"])
+def test_block_test_refuses_data_that_is_not_a_finite_matrix(data, error, message):
+    with pytest.raises(error) as exc:
+        block_test(data, BlockPartition((2, 2)), 0.05)
+    assert str(exc.value) == message
+
+
+def test_log_vn_refuses_a_four_dimensional_array():
+    with pytest.raises(DimensionMismatch) as exc:
+        log_vn(np.ones((2, 2, 10, 4)), BlockPartition((2, 2)))
+    assert str(exc.value) == ("data must be 2-d (n x p) or a stack (k x n x p), "
+                              "got shape (2, 2, 10, 4)")

@@ -511,6 +511,25 @@ def test_simulate_hist_json(tmp_path):
     assert 0.0 <= payload["ks_statistic"] <= 1.0
 
 
+def test_simulate_hist_csv_is_every_z_at_full_precision(tmp_path):
+    command = ["simulate", "hist", "--test", "block", "--n", "30", "--p", "6",
+               "--blocks", "3x2", "--reps", "13", "--seed", "5"]
+    json_path = tmp_path / "hist.json"
+    assert run_cli(command + ["--format", "json", "--out", str(json_path)]) == 0
+    z_samples = json.loads(json_path.read_text())["z_samples"]
+    outputs = []
+    for threads in (1, 2):
+        out_path = tmp_path / f"hist{threads}.csv"
+        assert run_cli(command + ["--format", "csv", "--threads", str(threads),
+                                  "--out", str(out_path)]) == 0
+        outputs.append(out_path.read_bytes())
+    assert outputs[0] == outputs[1]
+    lines = outputs[0].decode().splitlines()
+    assert lines[0] == "rep,z"
+    assert lines[1:] == [f"{rep},{z:.17g}" for rep, z in enumerate(z_samples)]
+    assert [float(line.split(",")[1]) for line in lines[1:]] == z_samples
+
+
 def test_simulate_eqcov_level(tmp_path):
     out_path = tmp_path / "eq.csv"
     code = run_cli(["simulate", "level", "--test", "eqcov", "--n-sizes", "15,20",
@@ -550,6 +569,18 @@ def test_simulate_flag_kind_mismatch_exit_2(capsys):
     code = run_cli(["simulate", "level", "--test", "eqcov", "--n", "30", "--p", "6",
                     "--n-sizes", "15,15", "--reps", "5"])
     assert code == 2
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--test", "eqcov", "--p", "4"], "the eqcov test requires --n-sizes"),
+    (["--test", "corr", "--p", "4", "--n", "30", "--n-sizes", "10,10"],
+     "--n-sizes applies to the eqcov test, not corr"),
+    (["--test", "block", "--p", "4", "--blocks", "2x2"], "the block test requires --n"),
+], ids=["eqcov_without_n_sizes", "corr_with_n_sizes", "block_without_n"])
+def test_simulate_missing_or_foreign_size_flag_exit_2(flags, message, capsys):
+    code = run_cli(["simulate", "level", *flags, "--reps", "5"])
+    assert code == 2
+    assert capsys.readouterr().err == f"hdlrt: error: {message}\n"
 
 
 @pytest.mark.parametrize("dist", ["expinf", "exp1e400"])

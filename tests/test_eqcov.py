@@ -206,3 +206,24 @@ def test_eqcov_warning_for_large_ratio(rng):
     sample = GroupedSample(tuple(rng.standard_normal((21, 20)) for _ in range(2)))
     report = eqcov_test(sample, 0.05)
     assert any("p/n_j" in w for w in report.assumption_warnings)
+
+
+def test_eqcov_constants_rejects_zero_dimension():
+    with pytest.raises(InvalidDesign, match=r"^p must be positive, got 0$"):
+        eqcov_constants((10, 10), 0)
+
+
+def test_eqcov_warning_for_negligible_dimension(rng):
+    sample = GroupedSample(tuple(rng.standard_normal((120, 2)) for _ in range(2)))
+    report = eqcov_test(sample, 0.05)
+    assert report.assumption_warnings == (
+        "p/n = 0.0083 is below 0.01; the approximation assumes the dimension is "
+        "not negligible relative to the pooled sample",
+    )
+
+
+def test_eqcov_test_refuses_a_group_with_nan(rng):
+    groups = [rng.standard_normal((12, 3)) for _ in range(2)]
+    groups[1][4, 0] = np.nan
+    with pytest.raises(ValueError, match=r"^data contains non-finite entries$"):
+        eqcov_test(groups, 0.05)

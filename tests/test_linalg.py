@@ -369,3 +369,18 @@ def test_compound_symmetry_sqrt_vs_eigh(delta, p):
     assert np.max(np.abs(fast @ fast - target)) < 1e-12
     slow = symmetric_sqrt(target)
     assert np.max(np.abs(fast - slow)) < 1e-8
+
+
+def test_compound_symmetry_sqrt_rejects_delta_one_and_empty_dimension():
+    with pytest.raises(ValueError, match=r"^delta must be in \[0, 1\), got 1\.0$"):
+        compound_symmetry_sqrt(1.0, 4)
+    with pytest.raises(ValueError, match=r"^p must be positive, got 0$"):
+        compound_symmetry_sqrt(0.1, 0)
+
+
+def test_log_det_cholesky_rejects_an_infinite_entry():
+    # symmetric, so the finiteness check, not the symmetry check, refuses it
+    m = np.eye(3)
+    m[1, 1] = np.inf
+    with pytest.raises(NotPositiveDefinite, match=r"^matrix contains non-finite entries$"):
+        log_det_cholesky(m)

@@ -156,6 +156,23 @@ def test_plan_rejects_wrong_types(kwargs, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(test="cov", p=8, n=40),
+     "test must be one of ('block', 'correlation', 'eqcov'), got 'cov'"),
+    (dict(test="correlation", p=1, n=40), "p must be at least 2, got 1"),
+    (dict(test="correlation", p=4, n=40, n_sizes=(20, 20)),
+     "correlation plans take n, not n_sizes"),
+    (dict(test="block", p=8, n=40, partition=BlockPartition((4, 2))),
+     "partition p=6 does not match plan p=8"),
+    (dict(test="block", p=6, n=40, partition=BlockPartition((3, 3)), scenario=2),
+     "explicit partition contradicts the scenario"),
+], ids=["unknown_test", "p_1", "n_sizes_on_correlation", "partition_p", "partition_vs_scenario"])
+def test_plan_rejects_inconsistent_fields(kwargs, message):
+    with pytest.raises(InvalidPlan) as exc:
+        SimulationPlan(**kwargs)
+    assert str(exc.value) == message
+
+
 def test_plan_takes_numpy_integers_as_ints():
     plan = SimulationPlan(test="eqcov", p=np.int64(4), n_sizes=(np.int32(15), 20),
                           reps=np.int64(3), seed=np.uint8(3))
@@ -463,6 +480,29 @@ def test_empty_power_curve_draws_nothing(draws):
     assert draws == []
 
 
+@pytest.mark.parametrize("bins", [2.0, "3"], ids=["float", "str"])
+def test_histogram_rejects_non_integer_bins_before_any_pool(pools, bins):
+    # 2.0 used to raise a TypeError from np.linspace, "3" one from <
+    with pytest.raises(InvalidPlan) as exc:
+        run_histogram(small_plan(reps=12), bins=bins, threads=2)
+    assert str(exc.value) == f"bins must be an integer, got {bins!r}"
+    assert pools[0] == []
+
+
+@pytest.mark.parametrize("delta", ["0.1", "x"], ids=["numeric_str", "str"])
+def test_power_curve_rejects_non_numeric_delta_before_any_pool(pools, delta):
+    # the curve's float() used to run "0.1" and raise ValueError on "x"
+    with pytest.raises(InvalidPlan) as exc:
+        run_power_curve(small_plan(reps=12), deltas=(0.0, delta), threads=2)
+    assert str(exc.value) == f"delta must be a number, got {delta!r}"
+    assert pools[0] == []
+
+
+def test_power_curve_reports_integer_deltas_as_floats():
+    curve = run_power_curve(small_plan(reps=4), deltas=[0, np.int64(0)])
+    assert [(type(d), d) for d, _ in curve] == [(float, 0.0), (float, 0.0)]
+
+
 @pytest.mark.parametrize("run", [run_level, run_power, run_histogram],
                          ids=lambda f: f.__name__)
 def test_lone_run_starts_and_shuts_its_own_pool(pools, run):
@@ -513,6 +553,16 @@ def test_result_is_pure_function_of_plan():
         a, b = getattr(one, field.name), getattr(two, field.name)
         pairs = zip(a, b) if field.name == "histogram" else [(a, b)]
         assert all(np.array_equal(x, y) for x, y in pairs), field.name
+
+
+def test_histogram_rejects_nonzero_delta():
+    with pytest.raises(InvalidPlan, match=r"^histogram runs require delta = 0$"):
+        run_histogram(small_plan(reps=12, delta=0.1))
+
+
+def test_ks_distance_rejects_an_empty_sample():
+    with pytest.raises(ValueError, match=r"^empty sample$"):
+        ks_distance_to_normal([])
 
 
 def test_ks_distance_known_values():

@@ -55,6 +55,16 @@ def test_spec_stores_numpy_integer_df_as_int():
     assert DistributionSpec.parse(spec.label) == spec
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(kind="normal", df=3), "normal takes no parameters"),
+    (dict(kind="cauchy"), "unknown distribution kind 'cauchy'"),
+], ids=["normal_with_df", "cauchy"])
+def test_spec_constructor_refusals(kwargs, message):
+    with pytest.raises(ValueError) as exc:
+        DistributionSpec(**kwargs)
+    assert str(exc.value) == message
+
+
 def test_spec_rejects_unknown():
     # exponential names carry no rate, so "expinf" is no distribution
     for name in ("cauchy", "expinf"):
@@ -263,3 +273,8 @@ def test_draw_entries_shares_generator_stream():
     a2 = draw_entries(gen2, 10, 3, DistributionSpec.normal())
     b2 = draw_entries(gen2, 4, 3, DistributionSpec.normal())
     assert np.array_equal(a, a2) and np.array_equal(b, b2)
+
+
+def test_draw_entries_rejects_an_empty_shape():
+    with pytest.raises(ValueError, match=r"^matrix dimensions must be positive, got 0 x 3$"):
+        draw_entries(entry_generator(1), 0, 3, DistributionSpec.normal())
