@@ -8,14 +8,15 @@ function of the plan, independent of the number of worker processes.
 Aggregates are assembled by replication index, so every field of a result
 is the same on every rerun of the same plan.
 
-Batches: block and correlation replications are evaluated ``_BATCH`` at a
-time.  Each is drawn from its own stream into one preallocated stack
-(``_BATCH``, n, p), and the stack goes through ``apply_root`` and the
-statistic in one call each; the kernels give every slice of a stack the
-bits it gets on its own, so batching changes no result.  A power curve
-draws each batch once and evaluates every delta of its grid on it, so
-its results are those of one ``run_power`` per delta.  eqcov
-replications are evaluated one at a time.
+Stacks: block and correlation replications are evaluated as many at a
+time as fit in ``_STACK_BYTES`` of n x p draws (8 at n=100, p=60; 2 at
+180 x 120; at least 1), and never more than a chunk holds.  Each is drawn
+from its own stream into one preallocated stack (k, n, p), and the stack
+goes through ``apply_root`` and the statistic in one call each; the
+kernels give every slice of a stack the bits it gets on its own, so
+stacking changes no result.  A power curve draws each stack once and
+evaluates every delta of its grid on it, so its results are those of one
+``run_power`` per delta.  eqcov replications are evaluated one at a time.
 
 Worker processes: a run on more than one worker splits its replications
 into chunks on a ``ProcessPoolExecutor`` and shuts the pool down before it
@@ -55,9 +56,11 @@ HISTOGRAM_RANGE = (-4.0, 4.0)
 
 _EQCOV_POWER = "power simulation is defined for the block and correlation tests only"
 
-# Block and correlation replications per kernel call.  Two amortize the
-# per-call overhead of the small LAPACK calls; larger stacks add memory.
-_BATCH = 2
+# Bytes of float64 draws stacked per kernel call of the block and
+# correlation statistics.  Small shapes stack more replications, so the
+# fixed per-call cost of the small LAPACK and numpy calls is spread over
+# more of them; past this size a larger stack gains nothing and adds memory.
+_STACK_BYTES = 384 * 1024
 
 
 def scenario_partition(scenario: int, p: int) -> BlockPartition:
@@ -201,9 +204,10 @@ def _run_chunk(plan: SimulationPlan, deltas: tuple[float, ...], start: int,
             statistics[0, rep - start] = 2.0 * log_lambda2(GroupedSample(tuple(groups)))
     else:
         roots = [compound_symmetry_sqrt(d, plan.p) if d > 0.0 else None for d in deltas]
-        batch = np.empty((_BATCH, plan.n, plan.p))
-        for lo in range(start, stop, _BATCH):
-            white = batch[:min(_BATCH, stop - lo)]
+        size = min(max(1, _STACK_BYTES // (8 * plan.n * plan.p)), stop - start)
+        stack = np.empty((size, plan.n, plan.p))
+        for lo in range(start, stop, size):
+            white = stack[:min(size, stop - lo)]
             for i in range(len(white)):
                 rng = entry_generator(plan.seed, lo + i)
                 white[i] = draw_entries(rng, plan.n, plan.p, plan.dist)
@@ -293,12 +297,12 @@ def run_power_curve(plan: SimulationPlan, deltas=DEFAULT_DELTA_GRID,
     and every delta is evaluated on it, in one pass over the replications
     on one pool of ``threads`` workers; every delta's plan is built, and an
     invalid one raises, before the first draw."""
+    if plan.test == "eqcov":
+        raise InvalidPlan(_EQCOV_POWER)
     # a delta that is not a real number goes to the plan as is, which refuses it
     plans = [replace(plan, delta=float(d) if isinstance(d, numbers.Real) else d) for d in deltas]
     if not plans:
         return []
-    if plan.test == "eqcov":
-        raise InvalidPlan(_EQCOV_POWER)
     rows = _simulate(plan, tuple(each.delta for each in plans), threads)
     # each delta still goes through run_power, which takes its row in order
     _curve.rows = iter(rows)

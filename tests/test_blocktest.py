@@ -30,8 +30,15 @@ from hdlrt.linalg import (
     compound_symmetry_sqrt,
     log_det_incremental,
 )
+from hdlrt.montecarlo import scenario_partition
 from hdlrt.oracle import naive_log_vn, normal_quantile
-from hdlrt.sampling import normal_cdf
+from hdlrt.sampling import (
+    DistributionSpec,
+    apply_root,
+    draw_entries,
+    entry_generator,
+    normal_cdf,
+)
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -435,6 +442,53 @@ def test_stack_raises_zero_variance_like_its_slice():
         log_det_correlation(stack[2])
     with pytest.raises(ZeroVariance):
         log_det_correlation(stack)
+
+
+# stacks as large as the Monte Carlo engine makes them: 8 at 100 x 60 and
+# 9 at 90 x 60, drawn from the replication streams of each distribution
+ENGINE_STACKS = {"8x100x60": (8, 100), "9x90x60": (9, 90)}
+ENGINE_PARTITIONS = {**STACK_PARTITIONS, "scenario2": scenario_partition(2, 60)}
+
+
+def engine_stack(k, n, dist, p=60, seed=23):
+    return np.stack([draw_entries(entry_generator(seed, rep), n, p, DistributionSpec.parse(dist))
+                     for rep in range(k)])
+
+
+@pytest.mark.parametrize("dist", ["normal", "t15", "exp1"])
+@pytest.mark.parametrize("shape", list(ENGINE_STACKS))
+def test_engine_sized_stack_gives_each_slice_its_own_bits(shape, dist):
+    white = engine_stack(*ENGINE_STACKS[shape], dist)
+    root = compound_symmetry_sqrt(0.06, white.shape[-1])
+    rooted = apply_root(white, root)
+    assert np.array_equal(rooted, [apply_root(x, root) for x in white])
+    for stack in (white, rooted):
+        for label, part in ENGINE_PARTITIONS.items():
+            assert np.array_equal(log_vn(stack, part), [log_vn(x, part) for x in stack]), label
+        assert np.array_equal(log_det_correlation(stack),
+                              [log_det_correlation(x) for x in stack])
+
+
+@pytest.mark.parametrize("damage", ["dependent", "zero", "zero_variance"])
+def test_engine_sized_stack_raises_its_last_slices_error(damage):
+    stack = engine_stack(8, 100, "t15")
+    if damage == "dependent":
+        stack[-1, :, 47] = -2.0 * stack[-1, :, 35]  # both in the third block
+    else:
+        stack[-1, :, 47] = 0.0
+    if damage == "zero_variance":
+        statistic, error = log_det_correlation, ZeroVariance
+    else:
+        def statistic(x):
+            return log_vn(x, BlockPartition((20, 10, 30)))
+        error = DegenerateColumn
+    with pytest.raises(error) as alone:
+        statistic(stack[-1])
+    with pytest.raises(error) as stacked:
+        statistic(stack)
+    assert str(stacked.value) == str(alone.value)
+    if error is DegenerateColumn:
+        assert "column 47 " in str(alone.value)
 
 
 # ---------------------------------------------------------------------------

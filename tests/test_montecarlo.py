@@ -225,7 +225,12 @@ def test_delta_zero_power_equals_level():
     SimulationPlan(test="block", n=40, p=12, partition=BlockPartition((8, 4)), reps=13,
                    seed=5, dist=DistributionSpec.centered_exponential()),
     SimulationPlan(test="correlation", n=30, p=8, delta=0.2, reps=13, seed=6),
-], ids=["block", "correlation_delta"])
+    # 8 per stack at 100 x 60: two full stacks and one of 3, or stacks cut
+    # short by the chunk ends
+    SimulationPlan(test="block", n=100, p=60, partition=BlockPartition.uniform(30, 2), reps=19,
+                   seed=7, dist=DistributionSpec.parse("t15")),
+    SimulationPlan(test="correlation", n=100, p=60, delta=0.06, reps=19, seed=8),
+], ids=["block", "correlation_delta", "block_100x60", "correlation_delta_100x60"])
 def test_batched_z_equals_one_replication_at_a_time(plan, threads):
     # odd reps and uneven chunks leave batches of one at chunk ends
     if plan.test == "block":
@@ -478,6 +483,56 @@ def test_power_curve_draws_each_replication_once(draws, test):
 def test_empty_power_curve_draws_nothing(draws):
     assert run_power_curve(small_plan(reps=7), deltas=()) == []
     assert draws == []
+
+
+def test_eqcov_power_curve_refused_for_an_empty_grid(pools):
+    # an empty grid used to return [] where any other grid raises
+    plan = SimulationPlan("eqcov", p=4, n_sizes=(15, 20), reps=5)
+    with pytest.raises(InvalidPlan) as exc:
+        run_power_curve(plan, deltas=(), threads=2)
+    assert str(exc.value) == montecarlo._EQCOV_POWER
+    assert pools[0] == []
+
+
+# ---------------------------------------------------------------------------
+# stack sizes: as many replications as fit in the byte budget
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def stacks(monkeypatch):
+    """The leading size of every stack the block and correlation statistics
+    get on this process."""
+    sizes = []
+
+    def recording(statistic):
+        def record(x, *args):
+            sizes.append(len(x))
+            return statistic(x, *args)
+        return record
+
+    monkeypatch.setattr(montecarlo, "log_vn", recording(log_vn))
+    monkeypatch.setattr(montecarlo, "log_det_correlation", recording(log_det_correlation))
+    return sizes
+
+
+@pytest.mark.parametrize("plan, expected", [
+    (SimulationPlan(test="block", n=100, p=60, partition=BlockPartition.uniform(30, 2),
+                    reps=19, seed=4), [8, 8, 3]),
+    (SimulationPlan(test="correlation", n=100, p=60, reps=19, seed=4), [8, 8, 3]),
+    (SimulationPlan(test="block", n=180, p=120, scenario=2, reps=5, delta=0.02), [2, 2, 1]),
+], ids=["block_100x60", "correlation_100x60", "block_180x120_scenario2"])
+def test_stack_sizes_follow_the_byte_budget(stacks, plan, expected):
+    run_power(plan)
+    assert stacks == expected
+
+
+def test_small_plan_stacks_each_chunk_at_once(stacks):
+    # 40 x 12 fits more than a chunk; the stack is only as large as the chunk
+    plan = SimulationPlan(test="block", n=40, p=12, partition=BlockPartition((8, 4)), reps=13)
+    bounds = [(0, 13), (0, 4), (4, 5), (5, 13)]
+    for start, stop in bounds:
+        montecarlo._run_chunk(plan, (0.0, 0.2), start, stop)
+    assert stacks == [stop - start for start, stop in bounds for _ in range(2)]
 
 
 @pytest.mark.parametrize("bins", [2.0, "3"], ids=["float", "str"])
