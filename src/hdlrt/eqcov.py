@@ -24,7 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionExceedsSample, DimensionMismatch, InvalidDesign, _as_integer
+from .errors import DimensionExceedsSample, DimensionMismatch, InvalidDesign
+from .errors import _as_integer, _as_integers
 from .blocktest import _RATIO_WARN, NullConstants, TestReport, _standardize, _validate_alpha
 # log_det_incremental is unused here; perfbench/tracing.py WRAPPED wraps this name
 from .linalg import _as_data_matrix, _mirror, log_det_cholesky, log_det_incremental
@@ -120,7 +121,7 @@ def eqcov_constants(n_sizes: Sequence[int], p: int) -> NullConstants:
     design; a quantitative lower bound, n^2 sigma_n^2 >= p^2 (q - 1) / 2,
     is asserted in the test suite.
     """
-    sizes = tuple(_as_integer("n_j", v, InvalidDesign) for v in n_sizes)
+    sizes = _as_integers("n_sizes", n_sizes, InvalidDesign, "n_j")
     p = _as_integer("p", p, InvalidDesign)
     if len(sizes) < 2:
         raise InvalidDesign(f"at least two groups required, got {len(sizes)}")

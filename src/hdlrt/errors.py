@@ -62,13 +62,21 @@ class RaggedRows(ParseError):
     """A CSV row has a different number of fields than the first row."""
 
 
-# The package's integer rule and 64-bit-word rule; each raises the error
-# class its caller names.
+# The package's integer rule, for one value or a sequence, and its
+# 64-bit-word rule; each raises the error class its caller names.
 def _as_integer(name: str, value, error: type[Exception]) -> int:
     try:  # numpy integers pass; a float is refused, not truncated
         return operator.index(value)
     except TypeError:
         raise error(f"{name} must be an integer, got {value!r}") from None
+
+
+def _as_integers(name: str, values, error: type[Exception], item: str) -> tuple[int, ...]:
+    """``values`` as a tuple of integers, each checked as ``item``."""
+    try:
+        return tuple(_as_integer(item, v, error) for v in values)
+    except TypeError:  # from iterating: _as_integer raises ``error``
+        raise error(f"{name} must be a sequence of integers, got {values!r}") from None
 
 
 def _as_word(name: str, value, error: type[Exception]) -> int:

@@ -1,16 +1,18 @@
 """Dense matrix kernels: log-determinants, the block partition, and the
 compound-symmetry square root.
 
-The block and correlation statistics use the incremental route, which
-never forms a p x p matrix and instead takes the squared residual norms
-of each variable projected onto the orthogonal complement of its
-predecessors from the R factor of a Householder QR of the data
-(``log_det_incremental``).  The block terms come from one batched QR per
-distinct block size in the private ``_block_log_dets``, which only
-``hdlrt.blocktest.log_vn`` calls, after validating the data against the
-partition.  The equality-of-covariances statistic uses the Cholesky route
-on explicitly formed scatter matrices (``log_det_cholesky``).
-``hdlrt.oracle`` holds the LU reference.
+The block and correlation statistics use the incremental route, which never
+forms a p x p matrix and instead takes the squared residual norms of each
+variable projected onto the orthogonal complement of its predecessors from
+the R factor of a Householder QR of the data (``log_det_incremental``);
+that QR owns the degenerate-column rule.  The block terms come from one
+batched QR per distinct block size in the private ``_block_log_dets``,
+which only ``hdlrt.blocktest.log_vn`` calls, after validating the data
+against the partition and after the full-data QR.  A block residual is
+never smaller than the full-data residual of the same column, so the
+block QRs are not checked again.  The equality-of-covariances statistic
+uses the Cholesky route on explicitly formed scatter matrices
+(``log_det_cholesky``); ``hdlrt.oracle`` holds the LU reference.
 
 Stacks: the incremental-route kernels also take a stack (k, n, p) of data
 matrices, and ``log_det_cholesky`` a stack (k, p, p) of matrices; they then
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,7 @@ from .errors import (
     DimensionExceedsSample,
     DimensionMismatch,
     NotPositiveDefinite,
+    _as_integers,
 )
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -59,10 +61,7 @@ class BlockPartition:
     cumulative: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        try:
-            sizes = tuple(operator.index(s) for s in self.sizes)
-        except TypeError:
-            raise ValueError(f"block sizes must be integers, got {self.sizes!r}") from None
+        sizes = _as_integers("block sizes", self.sizes, ValueError, "block size")
         if not sizes:
             raise ValueError("partition needs at least one block")
         if any(s < 1 for s in sizes):
@@ -96,12 +95,12 @@ class BlockPartition:
         return BlockPartition((1,) * p)
 
     @functools.cached_property
-    def gather(self) -> tuple[tuple[tuple[int, ...], slice | np.ndarray], ...]:
-        """Per distinct block size, in order of first appearance: the first
-        columns of the blocks of that size, and the column index that
-        gathers all of them.  Adjacent blocks get a slice, so indexing
-        gives a view, not a copy; others a read-only (blocks, size) array.
-        Built on first use and kept with the partition."""
+    def gather(self) -> tuple[tuple[int, slice | np.ndarray], ...]:
+        """Per distinct block size, in order of first appearance: the size,
+        and the column index that gathers all the blocks of that size.
+        Adjacent blocks get a slice, so indexing gives a view, not a copy;
+        others a read-only (blocks, size) array.  Built on first use and
+        kept with the partition."""
         starts_by_size: dict[int, list[int]] = {}
         for lo, size in zip(self.cumulative, self.sizes):
             starts_by_size.setdefault(size, []).append(lo)
@@ -112,7 +111,7 @@ class BlockPartition:
             else:
                 index = np.add.outer(starts, np.arange(size))
                 index.setflags(write=False)  # shared by every user of the partition
-            groups.append((tuple(starts), index))
+            groups.append((size, index))
         return tuple(groups)
 
 
@@ -184,38 +183,18 @@ def log_det_cholesky(a):
     return _as_result(2.0 * np.log(diag).sum(axis=-1))
 
 
-def _squared_residuals(stack: np.ndarray, first_columns) -> np.ndarray:
-    """Squared diagonal of the R factor of each n x s matrix in ``stack``.
+def _squared_r_diagonal(stack: np.ndarray) -> np.ndarray:
+    """Squared diagonal, shape (..., s), of the R factor of each n x s
+    matrix in ``stack`` (..., n, s), from one batched LAPACK Householder
+    QR: R_jj^2 is the squared residual of column j after projection onto
+    the orthogonal complement of its predecessors in its matrix.
 
-    ``stack`` has shape (..., k, n, s); one batched Householder QR factors
-    every matrix, and the diagonal is read from LAPACK's raw Householder
-    output.  R_jj^2 is the squared residual of column j of a matrix after
-    projection onto the orthogonal complement of its predecessors in that
-    matrix.  ``first_columns[i]`` is the data column of the first column of
-    the matrices at position i of the k axis, used to name the first
-    degenerate column.
-
-    Returns a C-contiguous array of shape (..., k, s).  The strided
-    diagonal is copied before it is squared: then summing the last axes
-    runs in numpy's pairwise order, the order of a lone matrix's sum, and a
-    stack gives bit for bit the values of its slices.
+    The strided diagonal is copied before it is squared: then summing the
+    last axes runs in numpy's pairwise order, the order of a lone matrix's
+    sum, and a stack gives bit for bit the values of its slices.
     """
-    n, s = stack.shape[-2:]
-    if s > n:
-        raise DimensionExceedsSample(
-            f"{s} columns cannot be linearly independent with n={n} observations"
-        )
     h, _ = np.linalg.qr(stack, mode="raw")
-    quad = np.square(np.ascontiguousarray(np.diagonal(h, axis1=-2, axis2=-1)))
-    norms = np.einsum("...ij,...ij->...j", stack, stack)
-    bad = (norms == 0.0) | (quad < n * _EPS * _EPS * norms)
-    if bad.any():
-        where = tuple(np.argwhere(bad)[0])
-        col = first_columns[where[-2]] + int(where[-1])
-        if norms[where] == 0.0:
-            raise DegenerateColumn(f"column {col} is identically zero")
-        raise DegenerateColumn(f"column {col} is numerically dependent on its predecessors")
-    return quad
+    return np.square(np.ascontiguousarray(np.diagonal(h, axis1=-2, axis2=-1)))
 
 
 def incremental_quad_forms(data) -> np.ndarray:
@@ -236,12 +215,25 @@ def incremental_quad_forms(data) -> np.ndarray:
     ------
     DegenerateColumn
         If a residual norm underflows the rank-deficiency tolerance
-        (squared norm below n * eps^2 * squared column norm).
+        (squared norm below n * eps^2 * squared column norm), naming the
+        first such data column.
     DimensionExceedsSample
         If there are more columns than observations.
     """
     a = _as_data_matrix(data, stack=True)
-    return _squared_residuals(a[..., None, :, :], [0])[..., 0, :]
+    n, p = a.shape[-2:]
+    if p > n:
+        raise DimensionExceedsSample(f"{p} columns cannot be linearly independent "
+                                     f"with n={n} observations")
+    quad = _squared_r_diagonal(a)
+    norms = np.einsum("...ij,...ij->...j", a, a)
+    bad = (norms == 0.0) | (quad < n * _EPS * _EPS * norms)
+    if bad.any():
+        where = tuple(np.argwhere(bad)[0])
+        if norms[where] == 0.0:
+            raise DegenerateColumn(f"column {where[-1]} is identically zero")
+        raise DegenerateColumn(f"column {where[-1]} is numerically dependent on its predecessors")
+    return quad
 
 
 def log_det_incremental(data):
@@ -257,18 +249,21 @@ def log_det_incremental(data):
 
 def _block_log_dets(a: np.ndarray, part: BlockPartition):
     """Sum over the blocks of ``part`` of the log-determinants of the block
-    scatter matrices X_i^T X_i of validated data whose p matches the
-    partition; a scalar, or one value per slice of a stack (k, n, p).
+    scatter matrices X_i^T X_i of data that ``incremental_quad_forms``
+    accepted and whose p matches the partition; a scalar, or one value per
+    slice of a stack (k, n, p).
 
     Blocks of equal size are stacked and factored by one batched QR, so
     the cost is one LAPACK call per distinct block size rather than one
-    per block.  Raises like ``incremental_quad_forms`` on each block.
+    per block.  The full-data QR owns the degenerate-column rule: a
+    column's block predecessors are some of its predecessors in the data,
+    so no block residual is smaller than the full-data one that passed.
     """
     total = 0.0
-    for starts, index in part.gather:
-        blocks = a[..., index].reshape(a.shape[:-1] + (len(starts), -1))
+    for size, index in part.gather:
+        blocks = a[..., index].reshape(a.shape[:-1] + (-1, size))
         stack = np.moveaxis(blocks, -3, -2)  # (..., blocks, n, size)
-        logs = np.log(_squared_residuals(stack, starts))
+        logs = np.log(_squared_r_diagonal(stack))
         total = total + logs.reshape(logs.shape[:-2] + (-1,)).sum(axis=-1)
     return total
 

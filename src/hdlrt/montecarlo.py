@@ -40,7 +40,7 @@ import numpy as np
 
 from .blocktest import block_constants, correlation_constants, log_det_correlation, log_vn
 from .eqcov import GroupedSample, eqcov_constants, log_lambda2
-from .errors import InvalidDesign, InvalidPlan, _as_integer, _as_word
+from .errors import InvalidDesign, InvalidPlan, _as_integer, _as_integers, _as_word
 from .linalg import BlockPartition, compound_symmetry_sqrt
 from .sampling import DistributionSpec, apply_root, draw_entries, entry_generator, normal_cdf
 
@@ -140,7 +140,7 @@ class SimulationPlan:
         if self.test == "eqcov":
             if self.n_sizes is None or self.n is not None:
                 raise InvalidPlan("eqcov plans take n_sizes, not n")
-            sizes = tuple(_as_integer("n_j", v, InvalidPlan) for v in self.n_sizes)
+            sizes = _as_integers("n_sizes", self.n_sizes, InvalidPlan, "n_j")
             object.__setattr__(self, "n_sizes", sizes)
             constants, args, scale = eqcov_constants, (self.n_sizes, self.p), sum(self.n_sizes)
         else:

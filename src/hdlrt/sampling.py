@@ -15,12 +15,11 @@ of the key, independent of scheduling, thread count, and platform.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, _as_word
+from .errors import DimensionMismatch, _as_integer, _as_word
 
 
 @dataclass(frozen=True)
@@ -41,11 +40,7 @@ class DistributionSpec:
             if self.df is not None:
                 raise ValueError(f"{self.kind} takes no parameters")
         elif self.kind == "t":
-            try:  # numpy integers pass and are stored as int; 5.5 and inf do not
-                df = operator.index(self.df)
-            except TypeError:
-                message = f"standardized t requires an integer df, got {self.df!r}"
-                raise ValueError(message) from None
+            df = _as_integer("df", self.df, ValueError)
             if df < 5:
                 raise ValueError("standardized t requires df >= 5")
             object.__setattr__(self, "df", df)

@@ -28,6 +28,7 @@ from hdlrt.errors import (
 from hdlrt.linalg import (
     BlockPartition,
     compound_symmetry_sqrt,
+    incremental_quad_forms,
     log_det_incremental,
 )
 from hdlrt.montecarlo import scenario_partition
@@ -489,6 +490,40 @@ def test_engine_sized_stack_raises_its_last_slices_error(damage):
     assert str(stacked.value) == str(alone.value)
     if error is DegenerateColumn:
         assert "column 47 " in str(alone.value)
+
+
+# The full-data QR owns the degenerate-column rule; the block terms are not
+# checked again.  label: (statistic, damaged column, column it copies or
+# None for a zero column), the damage in slice 5 of an engine stack of 8.
+DEGENERATE_CASES = {
+    "30x2_block_predecessor": ("30x2", 47, 46),
+    "30x2_earlier_block": ("30x2", 47, 35),
+    "scenario2_block_predecessor": ("scenario2", 47, 35),  # block of 31 from column 29
+    "scenario2_earlier_block": ("scenario2", 47, 10),  # column 10 is a singleton block
+    "scenario2_zero_singleton": ("scenario2", 10, None),
+    "singletons_zero_singleton": ("singletons", 10, None),
+    "correlation_earlier_block": ("correlation", 47, 35),
+}
+
+
+@pytest.mark.parametrize("case", list(DEGENERATE_CASES))
+def test_degenerate_column_is_named_by_the_full_data_qr(case):
+    label, col, source = DEGENERATE_CASES[case]
+    stack = engine_stack(8, 100, "t15")
+    stack[5, :, col] = 0.0 if source is None else -2.0 * stack[5, :, source]
+    if label == "correlation":
+        statistic = log_det_correlation
+    else:
+        def statistic(x):
+            return log_vn(x, ENGINE_PARTITIONS[label])
+    with pytest.raises(DegenerateColumn) as owner:
+        incremental_quad_forms(stack[5])
+    fault = "is identically zero" if source is None else "is numerically dependent"
+    assert str(owner.value).startswith(f"column {col} {fault}")
+    for x in (stack[5], stack):
+        with pytest.raises(DegenerateColumn) as info:
+            statistic(x)
+        assert str(info.value) == str(owner.value)
 
 
 # ---------------------------------------------------------------------------

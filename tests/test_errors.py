@@ -1,0 +1,61 @@
+"""The integer rule has one owner, ``hdlrt.errors._as_integer``: every size,
+count, seed and degree of freedom the package takes is refused with
+"<name> must be an integer, got <value>", in the error class of its caller."""
+
+import pytest
+
+from hdlrt.blocktest import block_constants, correlation_constants
+from hdlrt.eqcov import eqcov_constants
+from hdlrt.errors import InvalidDesign, InvalidPlan
+from hdlrt.linalg import BlockPartition
+from hdlrt.montecarlo import SimulationPlan, run_histogram, run_level
+from hdlrt.sampling import DistributionSpec
+
+PART = BlockPartition((2, 2))
+BLOCK = {"test": "block", "p": 4, "n": 20, "partition": PART, "reps": 3}
+EQCOV = {"test": "eqcov", "p": 3, "n_sizes": (10, 10), "reps": 3}
+
+# owner: (name in the message, error class, call with the value under test)
+OWNERS = {
+    "partition_size": ("block size", ValueError, lambda v: BlockPartition((2, v))),
+    "t_df": ("df", ValueError, DistributionSpec.standardized_t),
+    "plan_p": ("p", InvalidPlan, lambda v: SimulationPlan(**{**BLOCK, "p": v})),
+    "plan_n": ("n", InvalidPlan, lambda v: SimulationPlan(**{**BLOCK, "n": v})),
+    "plan_n_j": ("n_j", InvalidPlan, lambda v: SimulationPlan(**{**EQCOV, "n_sizes": (10, v)})),
+    "plan_reps": ("reps", InvalidPlan, lambda v: SimulationPlan(**{**BLOCK, "reps": v})),
+    "plan_seed": ("seed", InvalidPlan, lambda v: SimulationPlan(**{**BLOCK, "seed": v})),
+    "block_constants_n": ("n", InvalidDesign, lambda v: block_constants(v, PART)),
+    "correlation_constants_n": ("n", InvalidDesign, lambda v: correlation_constants(v, 4)),
+    "correlation_constants_p": ("p", InvalidDesign, lambda v: correlation_constants(20, v)),
+    "eqcov_constants_n_j": ("n_j", InvalidDesign, lambda v: eqcov_constants((10, v), 3)),
+    "eqcov_constants_p": ("p", InvalidDesign, lambda v: eqcov_constants((10, 10), v)),
+    "bins": ("bins", InvalidPlan, lambda v: run_histogram(SimulationPlan(**BLOCK), bins=v)),
+    "threads": ("threads", InvalidPlan, lambda v: run_level(SimulationPlan(**BLOCK), threads=v)),
+}
+
+
+@pytest.mark.parametrize("value, shown", [(2.0, "2.0"), ("2", "'2'")], ids=["float", "str"])
+@pytest.mark.parametrize("owner", list(OWNERS))
+def test_every_integer_owner_refuses_a_non_integer(owner, value, shown):
+    name, error, call = OWNERS[owner]
+    with pytest.raises(error) as info:
+        call(value)
+    assert type(info.value) is error
+    assert str(info.value) == f"{name} must be an integer, got {shown}"
+
+
+@pytest.mark.parametrize("message, error, call", [
+    ("block sizes must be a sequence of integers, got 3", ValueError,
+     lambda: BlockPartition(3)),
+    ("n_sizes must be a sequence of integers, got 100", InvalidPlan,
+     lambda: SimulationPlan(**{**EQCOV, "n_sizes": 100})),
+    ("n_sizes must be a sequence of integers, got 100", InvalidDesign,
+     lambda: eqcov_constants(100, 4)),
+], ids=["partition", "plan", "eqcov_constants"])
+def test_a_bare_number_for_a_list_of_sizes_is_refused(message, error, call):
+    # the plan and the constants used to raise "TypeError: 'int' object is
+    # not iterable"
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message

@@ -39,13 +39,15 @@ def test_spec_rejects_low_df():
         DistributionSpec.standardized_t(4)
 
 
-@pytest.mark.parametrize("df", [float("inf"), 5.5, 15.0, "15", None],
+@pytest.mark.parametrize("df, shown", [(float("inf"), "inf"), (5.5, "5.5"), (15.0, "15.0"),
+                                       ("15", "'15'"), (None, "None")],
                          ids=["inf", "5_5", "float_15", "str", "none"])
-def test_spec_rejects_non_integer_df(df):
+def test_spec_rejects_non_integer_df(df, shown):
     # inf used to be accepted and drew NaN everywhere; 5.5 gave the label
     # "t5.5", which parse cannot read back
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         DistributionSpec.standardized_t(df)
+    assert str(info.value) == f"df must be an integer, got {shown}"
 
 
 def test_spec_stores_numpy_integer_df_as_int():
