@@ -26,6 +26,7 @@ from .errors import (
     InvalidAlpha,
     InvalidDesign,
     ZeroVariance,
+    _as_alpha,
     _as_integer,
 )
 from .linalg import (
@@ -65,7 +66,9 @@ class TestReport:
     ``mu`` and ``sigma`` are the centering and scale of the stored
     ``log_statistic``, so ``z = (log_statistic - mu) / sigma`` holds for
     every test kind; ``p_value = Phi(z)`` and the test rejects (one-sided,
-    lower tail) exactly when ``p_value <= alpha``.
+    lower tail) exactly when ``p_value <= alpha``.  ``constants`` are the
+    ``NullConstants`` of the design: ``mu = mu_n``, and ``sigma = sigma_n``
+    (eqcov: ``n sigma_n``).
     """
 
     log_statistic: float
@@ -75,18 +78,14 @@ class TestReport:
     p_value: float
     alpha: float
     reject: bool
+    constants: NullConstants
     assumption_warnings: tuple[str, ...] = ()
 
 
-def _validate_alpha(alpha: float) -> float:
-    a = float(alpha)
-    if math.isnan(a) or not 0.0 < a < 1.0:
-        raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha!r}")
-    return a
-
-
-def _standardize(log_statistic: float, mu: float, sigma: float, alpha: float,
+def _standardize(log_statistic: float, const: NullConstants, scale: int, alpha: float,
                  warnings: tuple[str, ...]) -> TestReport:
+    # mu_n and scale * sigma_n, the expression SimulationPlan computes
+    mu, sigma = const.mu_n, scale * const.sigma_n
     z = (log_statistic - mu) / sigma
     p_value = normal_cdf(z)
     return TestReport(
@@ -97,6 +96,7 @@ def _standardize(log_statistic: float, mu: float, sigma: float, alpha: float,
         p_value=p_value,
         alpha=alpha,
         reject=p_value <= alpha,
+        constants=const,
         assumption_warnings=warnings,
     )
 
@@ -173,14 +173,13 @@ def block_test(data, part: BlockPartition, alpha: float) -> TestReport:
     when log V_n <= sigma_n * u_alpha + mu_n.  Regime violations populate
     ``assumption_warnings`` instead of raising.
     """
-    alpha = _validate_alpha(alpha)
+    alpha = _as_alpha(alpha, InvalidAlpha)
     a = _as_data_matrix(data)
     if part.p != a.shape[1]:  # here, or the constants' p < n check names the partition's p
         raise DimensionMismatch(f"partition p={part.p} does not match data p={a.shape[1]}")
     const = block_constants(a.shape[0], part)
     statistic = log_vn(a, part)
-    return _standardize(statistic, const.mu_n, const.sigma_n, alpha,
-                        _regime_warnings(a.shape[0], part))
+    return _standardize(statistic, const, 1, alpha, _regime_warnings(a.shape[0], part))
 
 
 def log_det_correlation(data):
@@ -225,10 +224,9 @@ def correlation_constants(n: int, p: int) -> NullConstants:
 
 def correlation_test(data, alpha: float) -> TestReport:
     """Test for a diagonal covariance via the sample correlation determinant."""
-    alpha = _validate_alpha(alpha)
+    alpha = _as_alpha(alpha, InvalidAlpha)
     a = _as_data_matrix(data)
     n, p = a.shape
     const = correlation_constants(n, p)
     statistic = log_det_correlation(a)
-    return _standardize(statistic, const.mu_n, const.sigma_n, alpha,
-                        _regime_warnings(n, BlockPartition.unit(p)))
+    return _standardize(statistic, const, 1, alpha, _regime_warnings(n, BlockPartition.unit(p)))

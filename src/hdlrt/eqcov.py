@@ -24,9 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionExceedsSample, DimensionMismatch, InvalidDesign
-from .errors import _as_integer, _as_integers
-from .blocktest import _RATIO_WARN, NullConstants, TestReport, _standardize, _validate_alpha
+from .errors import DimensionExceedsSample, DimensionMismatch, InvalidAlpha, InvalidDesign
+from .errors import _as_alpha, _as_integer, _as_integers
+from .blocktest import _RATIO_WARN, NullConstants, TestReport, _standardize
 # log_det_incremental is unused here; perfbench/tracing.py WRAPPED wraps this name
 from .linalg import _as_data_matrix, _mirror, log_det_cholesky, log_det_incremental
 
@@ -166,9 +166,8 @@ def eqcov_test(sample, alpha: float) -> TestReport:
     ``z = (log_statistic - mu) / sigma`` is the standardized statistic;
     p_value = Phi(z), one-sided lower rejection.
     """
-    alpha = _validate_alpha(alpha)
+    alpha = _as_alpha(alpha, InvalidAlpha)
     s = _coerce(sample)
     const = eqcov_constants(s.n_sizes, s.p)
     statistic = log_lambda2(s)
-    return _standardize(2.0 * statistic, const.mu_n, s.n * const.sigma_n,
-                        alpha, _eqcov_warnings(s.n_sizes, s.p))
+    return _standardize(2.0 * statistic, const, s.n, alpha, _eqcov_warnings(s.n_sizes, s.p))

@@ -6,6 +6,7 @@ from :class:`HdlrtError`; input-file problems derive from
 latter to exit code 1.
 """
 
+import numbers
 import operator
 
 
@@ -62,8 +63,9 @@ class RaggedRows(ParseError):
     """A CSV row has a different number of fields than the first row."""
 
 
-# The package's integer rule, for one value or a sequence, and its
-# 64-bit-word rule; each raises the error class its caller names.
+# The package's integer rule, for one value or a sequence, its
+# 64-bit-word rule and its significance-level rule; each raises the error
+# class its caller names.
 def _as_integer(name: str, value, error: type[Exception]) -> int:
     try:  # numpy integers pass; a float is refused, not truncated
         return operator.index(value)
@@ -85,3 +87,12 @@ def _as_word(name: str, value, error: type[Exception]) -> int:
     if not 0 <= word < 1 << 64:
         raise error(f"{name} must be in [0, 2**64), got {word}")
     return word
+
+
+def _as_alpha(value, error: type[Exception]) -> float:
+    """``value`` as a significance level: a real number in (0, 1)."""
+    if not isinstance(value, numbers.Real):  # a string is refused, not parsed
+        raise error(f"alpha must be a number, got {value!r}")
+    if not 0.0 < value < 1.0:  # NaN fails here too
+        raise error(f"alpha must be in (0, 1), got {value!r}")
+    return float(value)

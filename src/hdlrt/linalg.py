@@ -38,6 +38,7 @@ from .errors import (
     DimensionExceedsSample,
     DimensionMismatch,
     NotPositiveDefinite,
+    _as_integer,
     _as_integers,
 )
 
@@ -85,14 +86,14 @@ class BlockPartition:
     @classmethod
     def uniform(cls, q: int, size: int) -> "BlockPartition":
         """q blocks of equal size."""
-        return cls((size,) * q)
+        return cls((size,) * _as_integer("q", q, ValueError))
 
     @staticmethod
-    @functools.lru_cache(maxsize=16)
+    @functools.lru_cache(maxsize=16, typed=True)  # typed: 3.0 must not hit 3
     def unit(p: int) -> "BlockPartition":
         """p singleton blocks; turns the block statistic into the
         correlation-determinant statistic.  Cached, with its ``gather``."""
-        return BlockPartition((1,) * p)
+        return BlockPartition((1,) * _as_integer("p", p, ValueError))
 
     @functools.cached_property
     def gather(self) -> tuple[tuple[int, slice | np.ndarray], ...]:

@@ -40,7 +40,7 @@ import numpy as np
 
 from .blocktest import block_constants, correlation_constants, log_det_correlation, log_vn
 from .eqcov import GroupedSample, eqcov_constants, log_lambda2
-from .errors import InvalidDesign, InvalidPlan, _as_integer, _as_integers, _as_word
+from .errors import InvalidDesign, InvalidPlan, _as_alpha, _as_integer, _as_integers, _as_word
 from .linalg import BlockPartition, compound_symmetry_sqrt
 from .sampling import DistributionSpec, apply_root, draw_entries, entry_generator, normal_cdf
 
@@ -70,6 +70,7 @@ def scenario_partition(scenario: int, p: int) -> BlockPartition:
     Scenario 2: q = p/2 blocks, q - 1 singletons plus one block of q + 1
     (p even, p >= 4); the sizes add up to 2q = p.
     """
+    scenario = _as_integer("scenario", scenario, InvalidPlan)
     if scenario == 1:
         if p < 3 or p % 3 != 0:
             raise InvalidPlan(f"scenario 1 needs p divisible by 3, got p={p}")
@@ -87,17 +88,17 @@ class SimulationPlan:
     """Descriptor of one simulation experiment.
 
     ``test`` is "block", "correlation" or "eqcov".  Block plans need ``n``
-    and a partition of at least two blocks (directly or through
-    ``scenario``); correlation plans need ``n`` only; eqcov plans need
-    ``n_sizes``, at least two groups each with n_j > p.  ``delta`` selects
-    the compound-symmetry alternative (1-delta) I + delta * ones, with
-    delta = 0 the null.  Sizes, ``p``, ``reps`` and ``seed`` are integers,
-    the seed in [0, 2**64); ``delta`` and ``alpha`` are real numbers,
-    ``dist`` a ``DistributionSpec`` and ``partition`` a ``BlockPartition``.
-    ``mu`` and ``sigma``, the read-only centering and scale of the
-    statistic the engine stores (eqcov: mu_n and n sigma_n), are set when
-    the plan is built; a plan that cannot run, one the constants reject
-    included, raises ``InvalidPlan`` then.
+    and a partition (directly or through ``scenario``), correlation plans
+    ``n`` and eqcov plans ``n_sizes``; p and the sizes have the constants'
+    limits (2 <= p < n and q >= 2 blocks; eqcov n_j > p >= 1).  ``delta``
+    selects the compound-symmetry alternative (1-delta) I + delta * ones, with
+    delta = 0 the null.  Sizes, ``p``, ``reps``, ``seed`` and ``scenario``
+    are integers, the seed in [0, 2**64); ``delta`` is a real number and
+    ``alpha`` one in (0, 1), under the reports' rule.  ``mu`` and ``sigma``,
+    the read-only centering and scale of the statistic the engine stores
+    (eqcov: mu_n and n sigma_n), are set when the plan is built; a plan
+    that cannot run, one the constants reject included, raises
+    ``InvalidPlan`` then.
     """
 
     test: str
@@ -122,19 +123,15 @@ class SimulationPlan:
         if self.reps < 1:
             raise InvalidPlan(f"reps must be positive, got {self.reps}")
         _as_word("seed", self.seed, InvalidPlan)
-        for name in ("alpha", "delta"):
-            if not isinstance(getattr(self, name), numbers.Real):
-                raise InvalidPlan(f"{name} must be a number, got {getattr(self, name)!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidPlan(f"alpha must be in (0, 1), got {self.alpha}")
+        object.__setattr__(self, "alpha", _as_alpha(self.alpha, InvalidPlan))
+        if not isinstance(self.delta, numbers.Real):
+            raise InvalidPlan(f"delta must be a number, got {self.delta!r}")
         if not 0.0 <= self.delta < 1.0:
             raise InvalidPlan(f"delta must be in [0, 1), got {self.delta}")
         if not isinstance(self.dist, DistributionSpec):
             raise InvalidPlan(f"dist must be a DistributionSpec, got {self.dist!r}")
         if self.partition is not None and not isinstance(self.partition, BlockPartition):
             raise InvalidPlan(f"partition must be a BlockPartition, got {self.partition!r}")
-        if self.p < 2:
-            raise InvalidPlan(f"p must be at least 2, got {self.p}")
         if self.test != "block" and (self.partition is not None or self.scenario is not None):
             raise InvalidPlan(f"{self.test} plans take no partition")
         if self.test == "eqcov":
@@ -147,8 +144,6 @@ class SimulationPlan:
             if self.n is None or self.n_sizes is not None:
                 raise InvalidPlan(f"{self.test} plans take n, not n_sizes")
             object.__setattr__(self, "n", _as_integer("n", self.n, InvalidPlan))
-            if self.n <= self.p:
-                raise InvalidPlan(f"requires n > p, got n={self.n}, p={self.p}")
             if self.test == "correlation":
                 constants, args, scale = correlation_constants, (self.n, self.p), 1
             else:
@@ -299,6 +294,8 @@ def run_power_curve(plan: SimulationPlan, deltas=DEFAULT_DELTA_GRID,
     invalid one raises, before the first draw."""
     if plan.test == "eqcov":
         raise InvalidPlan(_EQCOV_POWER)
+    if isinstance(deltas, str) or not np.iterable(deltas):
+        raise InvalidPlan(f"deltas must be a sequence of numbers, got {deltas!r}")
     # a delta that is not a real number goes to the plan as is, which refuses it
     plans = [replace(plan, delta=float(d) if isinstance(d, numbers.Real) else d) for d in deltas]
     if not plans:

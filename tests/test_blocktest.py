@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdlrt.blocktest import (
+    NullConstants,
     _standardize,
     block_constants,
     block_test,
@@ -307,7 +308,8 @@ def test_log_det_correlation_zero_variance_column(rng):
 def test_decision_boundary_inclusive():
     alpha = 0.05
     u = normal_quantile(alpha)
-    report = _standardize(u * 2.0 + 1.0, 1.0, 2.0, alpha, ())  # z == u exactly
+    report = _standardize(u * 2.0 + 1.0, NullConstants(mu_n=1.0, sigma_n=2.0), 1, alpha,
+                          ())  # z == u exactly
     assert report.z == u
     assert report.reject is True
 
@@ -337,12 +339,19 @@ def test_block_test_report_fields(rng):
     part = BlockPartition((5, 5))
     report = block_test(data, part, 0.05)
     const = block_constants(50, part)
+    assert report.constants == const
     assert report.mu == const.mu_n
     assert report.sigma == const.sigma_n
     assert report.z == (report.log_statistic - report.mu) / report.sigma
     assert report.p_value == normal_cdf(report.z)
     assert report.alpha == 0.05
     assert report.assumption_warnings == ()
+
+
+def test_correlation_report_keeps_its_constants(rng):
+    report = correlation_test(rng.standard_normal((40, 6)), 0.05)
+    assert report.constants == correlation_constants(40, 6)
+    assert (report.mu, report.sigma) == (report.constants.mu_n, report.constants.sigma_n)
 
 
 def test_block_test_deterministic(rng):

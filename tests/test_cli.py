@@ -399,6 +399,39 @@ def test_test_commands_golden_json(tmp_path):
         assert csv_path.read_text() == GOLDEN_TEST_CSV[name], name
 
 
+@pytest.mark.parametrize("kind, expected", [
+    ("block", "block_constants"), ("corr", "correlation_constants"), ("eqcov", "eqcov_constants"),
+])
+def test_test_command_computes_the_constants_once(tmp_path, monkeypatch, kind, expected):
+    # the command prints the constants its report used; it used to compute
+    # them a second time.  Every module binding of every constants function
+    # is counted, so a call through any of them shows.
+    from hdlrt import blocktest, cli, eqcov, montecarlo
+
+    calls = []
+
+    def counted(name, original):
+        def call(*args):
+            calls.append(name)
+            return original(*args)
+        return call
+
+    originals = {"block_constants": blocktest.block_constants,
+                 "correlation_constants": blocktest.correlation_constants,
+                 "eqcov_constants": eqcov.eqcov_constants}
+    for module in (blocktest, eqcov, montecarlo, cli):
+        for name, original in originals.items():
+            monkeypatch.setattr(module, name, counted(name, original), raising=False)
+    paths = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
+    write_data(paths[0], n=30, p=6, seed=1)
+    write_data(paths[1], n=25, p=6, seed=2)
+    command = {"block": ["--input", paths[0], "--partition", "3,3"],
+               "corr": ["--input", paths[0]],
+               "eqcov": ["--input", paths[0], "--input", paths[1]]}[kind]
+    assert run_cli(["test", kind, *command, "--out", str(tmp_path / "r.json")]) == 0
+    assert calls == [expected]
+
+
 # ---------------------------------------------------------------------------
 # simulate subcommands
 # ---------------------------------------------------------------------------

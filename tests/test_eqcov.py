@@ -186,18 +186,20 @@ def test_eqcov_report_consistency(rng):
     report = eqcov_test(sample, 0.1)
     const = eqcov_constants(sample.n_sizes, sample.p)
     assert report.log_statistic == 2.0 * log_lambda2(sample)
+    assert report.constants == const
     assert report.mu == const.mu_n
-    assert report.sigma == sample.n * const.sigma_n
+    assert report.sigma == sample.n * report.constants.sigma_n
     assert report.z == (report.log_statistic - report.mu) / report.sigma
     assert report.reject == (report.p_value <= 0.1)
 
 
 def test_eqcov_boundary_z_rejects():
-    from hdlrt.blocktest import _standardize
+    from hdlrt.blocktest import NullConstants, _standardize
 
     alpha = 0.05
     u = normal_quantile(alpha)
-    report = _standardize(u * 3.0 - 2.0, -2.0, 3.0, alpha, ())
+    # the scale n = 2 times sigma_n = 1.5 is 3.0 exactly
+    report = _standardize(u * 3.0 - 2.0, NullConstants(mu_n=-2.0, sigma_n=1.5), 2, alpha, ())
     assert report.z == u
     assert report.reject is True
 

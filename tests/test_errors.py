@@ -1,12 +1,16 @@
 """The integer rule has one owner, ``hdlrt.errors._as_integer``: every size,
 count, seed and degree of freedom the package takes is refused with
-"<name> must be an integer, got <value>", in the error class of its caller."""
+"<name> must be an integer, got <value>", in the error class of its caller.
+The significance level has one owner too, ``hdlrt.errors._as_alpha``."""
 
+import math
+
+import numpy as np
 import pytest
 
-from hdlrt.blocktest import block_constants, correlation_constants
-from hdlrt.eqcov import eqcov_constants
-from hdlrt.errors import InvalidDesign, InvalidPlan
+from hdlrt.blocktest import block_constants, block_test, correlation_constants, correlation_test
+from hdlrt.eqcov import eqcov_constants, eqcov_test
+from hdlrt.errors import InvalidAlpha, InvalidDesign, InvalidPlan
 from hdlrt.linalg import BlockPartition
 from hdlrt.montecarlo import SimulationPlan, run_histogram, run_level
 from hdlrt.sampling import DistributionSpec
@@ -18,6 +22,10 @@ EQCOV = {"test": "eqcov", "p": 3, "n_sizes": (10, 10), "reps": 3}
 # owner: (name in the message, error class, call with the value under test)
 OWNERS = {
     "partition_size": ("block size", ValueError, lambda v: BlockPartition((2, v))),
+    "partition_uniform_q": ("q", ValueError, lambda v: BlockPartition.uniform(v, 3)),
+    "partition_unit_p": ("p", ValueError, BlockPartition.unit),
+    "plan_scenario": ("scenario", InvalidPlan,
+                      lambda v: SimulationPlan(test="block", p=6, n=20, scenario=v)),
     "t_df": ("df", ValueError, DistributionSpec.standardized_t),
     "plan_p": ("p", InvalidPlan, lambda v: SimulationPlan(**{**BLOCK, "p": v})),
     "plan_n": ("n", InvalidPlan, lambda v: SimulationPlan(**{**BLOCK, "n": v})),
@@ -57,5 +65,32 @@ def test_a_bare_number_for_a_list_of_sizes_is_refused(message, error, call):
     # not iterable"
     with pytest.raises(error) as info:
         call()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+DATA = np.random.default_rng(0).standard_normal((20, 4))
+
+# owner: (error class, call with the level under test)
+ALPHA_OWNERS = {
+    "block_test": (InvalidAlpha, lambda a: block_test(DATA, PART, a)),
+    "correlation_test": (InvalidAlpha, lambda a: correlation_test(DATA, a)),
+    "eqcov_test": (InvalidAlpha, lambda a: eqcov_test((DATA[:10, :3], DATA[10:, :3]), a)),
+    "plan": (InvalidPlan, lambda a: SimulationPlan(**{**BLOCK, "alpha": a})),
+}
+
+
+@pytest.mark.parametrize("value, message", [
+    ("0.05", "alpha must be a number, got '0.05'"),
+    (math.nan, "alpha must be in (0, 1), got nan"),
+    (0.0, "alpha must be in (0, 1), got 0.0"),
+    (1.0, "alpha must be in (0, 1), got 1.0"),
+], ids=["str", "nan", "zero", "one"])
+@pytest.mark.parametrize("owner", list(ALPHA_OWNERS))
+def test_every_alpha_owner_refuses_the_same_levels(owner, value, message):
+    # the reports used to run a numeric string such as "0.05", which a plan refused
+    error, call = ALPHA_OWNERS[owner]
+    with pytest.raises(error) as info:
+        call(value)
     assert type(info.value) is error
     assert str(info.value) == message

@@ -159,7 +159,7 @@ def test_plan_rejects_wrong_types(kwargs, message):
 @pytest.mark.parametrize("kwargs, message", [
     (dict(test="cov", p=8, n=40),
      "test must be one of ('block', 'correlation', 'eqcov'), got 'cov'"),
-    (dict(test="correlation", p=1, n=40), "p must be at least 2, got 1"),
+    (dict(test="correlation", p=1, n=40), "requires 2 <= p < n, got p=1, n=40"),
     (dict(test="correlation", p=4, n=40, n_sizes=(20, 20)),
      "correlation plans take n, not n_sizes"),
     (dict(test="block", p=8, n=40, partition=BlockPartition((4, 2))),
@@ -260,16 +260,19 @@ def test_rejections_match_full_test_decisions():
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("plan", [
-    SimulationPlan(test="eqcov", p=4, n_sizes=(12, 15, 20), reps=7, seed=9,
-                   dist=DistributionSpec.parse("t15")),
-    SimulationPlan(test="correlation", n=30, p=8, delta=0.2, reps=7, seed=10),
-    SimulationPlan(test="block", n=30, p=10, partition=BlockPartition((5, 2, 3)), reps=7,
-                   seed=11),
-], ids=["eqcov_t15", "correlation_delta", "block_uneven"])
-def test_engine_z_is_report_z(plan, threads):
+@pytest.mark.parametrize("kwargs", [
+    dict(test="eqcov", p=4, n_sizes=(12, 15, 20), reps=7, seed=9,
+         dist=DistributionSpec.parse("t15")),
+    dict(test="correlation", n=30, p=8, delta=0.2, reps=7, seed=10),
+    dict(test="block", n=30, p=10, partition=BlockPartition((5, 2, 3)), reps=7, seed=11),
+    dict(test="eqcov", p=1, n_sizes=(5, 8), reps=7, seed=12),
+], ids=["eqcov_t15", "correlation_delta", "block_uneven", "eqcov_p1"])
+def test_engine_z_is_report_z(kwargs, threads):
     # the engine standardizes with the plan's constants, the reports with
-    # their own; both must give every replication the same bits
+    # their own; both must give every replication the same bits.  The plan
+    # is built here: the constants, not the plan, set the limits on p, and
+    # eqcov allows p = 1
+    plan = SimulationPlan(**kwargs)
     root = compound_symmetry_sqrt(plan.delta, plan.p)
     expected = []
     for rep in range(plan.reps):
@@ -550,6 +553,16 @@ def test_power_curve_rejects_non_numeric_delta_before_any_pool(pools, delta):
     with pytest.raises(InvalidPlan) as exc:
         run_power_curve(small_plan(reps=12), deltas=(0.0, delta), threads=2)
     assert str(exc.value) == f"delta must be a number, got {delta!r}"
+    assert pools[0] == []
+
+
+@pytest.mark.parametrize("deltas", [0.1, "0.1"], ids=["float", "str"])
+def test_power_curve_rejects_a_bare_number_before_any_pool(pools, deltas):
+    # 0.1 used to raise "TypeError: 'float' object is not iterable", and
+    # "0.1" to be read one character at a time
+    with pytest.raises(InvalidPlan) as exc:
+        run_power_curve(small_plan(reps=12), deltas=deltas, threads=2)
+    assert str(exc.value) == f"deltas must be a sequence of numbers, got {deltas!r}"
     assert pools[0] == []
 
 

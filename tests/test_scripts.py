@@ -78,7 +78,7 @@ def test_threads_below_one_is_usage_error(name, capsys):
     ("level_table", ["--alpha", "2"], "alpha must be in (0, 1), got 2.0"),
     ("power_curves", ["--reps", "0"], "reps must be positive, got 0"),
     ("power_curves", ["--deltas", "0,1.5"], "delta must be in [0, 1), got 1.5"),
-    ("null_histograms", ["--n", "10"], "requires n > p, got n=10, p=60"),
+    ("null_histograms", ["--n", "10"], "requires 2 <= p < n, got p=60, n=10"),
     ("null_histograms", ["--reps", "0"], "reps must be positive, got 0"),
     ("null_histograms", ["--bins", "0"], "bins must be positive, got 0"),
     ("null_histograms", ["--blocks", "1"], "at least two blocks required, got q=1"),
