@@ -1,15 +1,17 @@
-"""Shared fixtures.
+"""Shared fixtures, and the loader of the study script.
 
-The reference-regime z samples (n=100, p=60, thirty blocks of two, 10000
-replications per distribution) are expensive, so they are computed once
-per session and shared between the distribution-shape tests and the
-acceptance gate.
+The reference-regime z samples (the hist cells of ``scripts/study.py``:
+n=100, p=60, thirty blocks of two, 10000 replications per distribution)
+are expensive, so they are computed once per session and shared between
+the distribution-shape tests and the acceptance gate.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import multiprocessing
 import os
+from pathlib import Path
 
 # hdlrt.cli first: it sets the CLI's one-thread BLAS default before numpy
 # loads.  The tests that simulate run on THREADS worker processes, and a
@@ -18,43 +20,36 @@ import hdlrt.cli  # noqa: F401
 import numpy as np
 import pytest
 
-from hdlrt import BlockPartition, DistributionSpec, SimulationPlan, run_histogram
+from hdlrt import DistributionSpec
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 # Worker count of the acceptance-scale simulations: 2, or HDLRT_THREADS.
 # Results never depend on it (criterion 10).
 THREADS = int(os.environ.get("HDLRT_THREADS") or 2)
 
-REFERENCE_N = 100
-REFERENCE_P = 60
-REFERENCE_PARTITION = BlockPartition.uniform(30, 2)
-REFERENCE_REPS = 10_000
-REFERENCE_SEED = 20_240_802
 
-DISTRIBUTIONS = {
-    "normal": DistributionSpec.normal(),
-    "t15": DistributionSpec.standardized_t(15),
-    "exp1": DistributionSpec.centered_exponential(),
-}
+def load_script(name):
+    """Import ``scripts/<name>.py`` as a module; its ``main`` does not run."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+STUDY = load_script("study")
+DISTRIBUTIONS = {label: DistributionSpec.parse(label) for label in STUDY.DISTS}
 
 
 @pytest.fixture(scope="session")
 def reference_null_run():
-    """dist label -> SimulationResult for the reference null regime."""
+    """dist label -> SimulationResult of the study's hist cell for it."""
+    cells = {plan.dist.label: plan for plan in STUDY.CELLS["hist"]}
     cache: dict[str, object] = {}
 
     def get(label: str):
         if label not in cache:
-            plan = SimulationPlan(
-                test="block",
-                n=REFERENCE_N,
-                p=REFERENCE_P,
-                partition=REFERENCE_PARTITION,
-                dist=DISTRIBUTIONS[label],
-                reps=REFERENCE_REPS,
-                alpha=0.05,
-                seed=REFERENCE_SEED,
-            )
-            cache[label] = run_histogram(plan, threads=THREADS)
+            cache[label] = STUDY.run_cell("hist", cells[label], THREADS)
         return cache[label]
 
     return get
