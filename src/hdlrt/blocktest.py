@@ -33,6 +33,7 @@ from .linalg import (
     _EPS,
     BlockPartition,
     _as_data_matrix,
+    _as_partition,
     _as_result,
     _block_log_dets,
     log_det_cholesky,  # unused here; perfbench/tracing.py WRAPPED wraps this name
@@ -116,7 +117,7 @@ def log_vn(data, part: BlockPartition):
     """
     a = _as_data_matrix(data, stack=True)
     n, p = a.shape[-2:]
-    if part.p != p:
+    if _as_partition(part, DimensionMismatch).p != p:
         raise DimensionMismatch(f"partition p={part.p} does not match data p={p}")
     if p >= n:
         raise DimensionExceedsSample(f"the statistic requires p < n, got p={p}, n={n}")
@@ -132,7 +133,7 @@ def block_constants(n: int, part: BlockPartition) -> NullConstants:
     Requires 2 <= p < n and q >= 2; sigma_n^2 is strictly positive there.
     """
     n = _as_integer("n", n, InvalidDesign)
-    p, q = part.p, part.q
+    p, q = _as_partition(part, InvalidDesign).p, part.q
     if q < 2:
         raise InvalidDesign(f"at least two blocks required, got q={q}")
     if not 2 <= p < n:
@@ -175,6 +176,7 @@ def block_test(data, part: BlockPartition, alpha: float) -> TestReport:
     """
     alpha = _as_alpha(alpha, InvalidAlpha)
     a = _as_data_matrix(data)
+    part = _as_partition(part, DimensionMismatch)
     if part.p != a.shape[1]:  # here, or the constants' p < n check names the partition's p
         raise DimensionMismatch(f"partition p={part.p} does not match data p={a.shape[1]}")
     const = block_constants(a.shape[0], part)

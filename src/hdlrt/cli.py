@@ -40,7 +40,7 @@ import numpy as np
 # block_constants is unused here; perfbench/tracing.py WRAPPED wraps this name
 from .blocktest import block_constants, block_test, correlation_test
 from .eqcov import GroupedSample, eqcov_test
-from .errors import HdlrtError, InputFileError, InvalidPlan, ParseError, RaggedRows
+from .errors import HdlrtError, InputFileError, ParseError, RaggedRows
 from .linalg import BlockPartition
 from .montecarlo import (
     DEFAULT_DELTA_GRID,
@@ -259,18 +259,7 @@ def _cmd_test(args) -> int:
 
 
 def _build_plan(args) -> SimulationPlan:
-    if args.test != "block" and (args.blocks is not None or args.scenario is not None):
-        raise InvalidPlan(f"--blocks/--scenario apply to the block test, not {args.test}")
-    if args.test == "eqcov":
-        if args.n is not None:
-            raise InvalidPlan("the eqcov test takes --n-sizes, not --n")
-        if args.n_sizes is None:
-            raise InvalidPlan("the eqcov test requires --n-sizes")
-    else:
-        if args.n_sizes is not None:
-            raise InvalidPlan(f"--n-sizes applies to the eqcov test, not {args.test}")
-        if args.n is None:
-            raise InvalidPlan(f"the {args.test} test requires --n")
+    # the plan refuses an option its test kind does not take (exit 2)
     return SimulationPlan(
         test=_TEST_NAMES[args.test], n=args.n, n_sizes=args.n_sizes, p=args.p,
         partition=args.blocks, scenario=args.scenario, dist=args.dist,

@@ -64,8 +64,8 @@ class RaggedRows(ParseError):
 
 
 # The package's integer rule, for one value or a sequence, its
-# 64-bit-word rule and its significance-level rule; each raises the error
-# class its caller names.
+# 64-bit-word rule, its significance-level rule and its compound-symmetry
+# delta rule; each raises the error class its caller names.
 def _as_integer(name: str, value, error: type[Exception]) -> int:
     try:  # numpy integers pass; a float is refused, not truncated
         return operator.index(value)
@@ -96,3 +96,12 @@ def _as_alpha(value, error: type[Exception]) -> float:
     if not 0.0 < value < 1.0:  # NaN fails here too
         raise error(f"alpha must be in (0, 1), got {value!r}")
     return float(value)
+
+
+def _as_delta(value, error: type[Exception]):
+    """``value``, unchanged, as a compound-symmetry delta: a real number in [0, 1)."""
+    if not isinstance(value, numbers.Real):  # a string is refused, not parsed
+        raise error(f"delta must be a number, got {value!r}")
+    if not 0.0 <= value < 1.0:  # NaN fails here too
+        raise error(f"delta must be in [0, 1), got {value}")
+    return value

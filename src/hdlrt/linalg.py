@@ -38,6 +38,7 @@ from .errors import (
     DimensionExceedsSample,
     DimensionMismatch,
     NotPositiveDefinite,
+    _as_delta,
     _as_integer,
     _as_integers,
 )
@@ -114,6 +115,14 @@ class BlockPartition:
                 index.setflags(write=False)  # shared by every user of the partition
             groups.append((size, index))
         return tuple(groups)
+
+
+def _as_partition(value, error: type[Exception]) -> BlockPartition:
+    """The package's partition-type rule: ``value`` must be a
+    ``BlockPartition``; raises the error class its caller names."""
+    if not isinstance(value, BlockPartition):
+        raise error(f"partition must be a BlockPartition, got {value!r}")
+    return value
 
 
 def _as_data_matrix(data, stack: bool = False) -> np.ndarray:
@@ -276,8 +285,8 @@ def compound_symmetry_sqrt(delta: float, p: int) -> np.ndarray:
     1 - delta + p*delta, so the root is a*I + b*ones with
     a = sqrt(1 - delta) and b = (sqrt(1 - delta + p*delta) - a) / p.
     """
-    if not 0.0 <= delta < 1.0:
-        raise ValueError(f"delta must be in [0, 1), got {delta}")
+    _as_delta(delta, ValueError)
+    p = _as_integer("p", p, ValueError)
     if p < 1:
         raise ValueError(f"p must be positive, got {p}")
     a = math.sqrt(1.0 - delta)

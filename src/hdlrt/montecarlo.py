@@ -40,8 +40,9 @@ import numpy as np
 
 from .blocktest import block_constants, correlation_constants, log_det_correlation, log_vn
 from .eqcov import GroupedSample, eqcov_constants, log_lambda2
-from .errors import InvalidDesign, InvalidPlan, _as_alpha, _as_integer, _as_integers, _as_word
-from .linalg import BlockPartition, compound_symmetry_sqrt
+from .errors import (InvalidDesign, InvalidPlan, _as_alpha, _as_delta, _as_integer, _as_integers,
+                     _as_word)
+from .linalg import BlockPartition, _as_partition, compound_symmetry_sqrt
 from .sampling import DistributionSpec, apply_root, draw_entries, entry_generator, normal_cdf
 
 #: Default power grid; configurable per run since the transition point
@@ -71,6 +72,7 @@ def scenario_partition(scenario: int, p: int) -> BlockPartition:
     (p even, p >= 4); the sizes add up to 2q = p.
     """
     scenario = _as_integer("scenario", scenario, InvalidPlan)
+    p = _as_integer("p", p, InvalidPlan)
     if scenario == 1:
         if p < 3 or p % 3 != 0:
             raise InvalidPlan(f"scenario 1 needs p divisible by 3, got p={p}")
@@ -89,16 +91,20 @@ class SimulationPlan:
 
     ``test`` is "block", "correlation" or "eqcov".  Block plans need ``n``
     and a partition (directly or through ``scenario``), correlation plans
-    ``n`` and eqcov plans ``n_sizes``; p and the sizes have the constants'
-    limits (2 <= p < n and q >= 2 blocks; eqcov n_j > p >= 1).  ``delta``
-    selects the compound-symmetry alternative (1-delta) I + delta * ones, with
-    delta = 0 the null.  Sizes, ``p``, ``reps``, ``seed`` and ``scenario``
-    are integers, the seed in [0, 2**64); ``delta`` is a real number and
-    ``alpha`` one in (0, 1), under the reports' rule.  ``mu`` and ``sigma``,
-    the read-only centering and scale of the statistic the engine stores
-    (eqcov: mu_n and n sigma_n), are set when the plan is built; a plan
-    that cannot run, one the constants reject included, raises
-    ``InvalidPlan`` then.
+    ``n`` and eqcov plans ``n_sizes``; a missing size field is refused by
+    name ("block plans need n"), the other kind's as foreign ("eqcov plans
+    take n_sizes, not n").  p and the sizes have the constants' limits
+    (2 <= p < n and q >= 2 blocks; eqcov n_j > p >= 1).  ``delta`` selects
+    the compound-symmetry alternative (1-delta) I + delta * ones, with
+    delta = 0 the null; eqcov has no alternative to simulate, so an eqcov
+    plan with delta > 0 is refused in ``run_power``'s words.  Sizes, ``p``,
+    ``reps``, ``seed`` and ``scenario`` are integers, the seed in
+    [0, 2**64); ``delta`` is a real number in [0, 1) and ``alpha`` one in
+    (0, 1), under the package's rules in ``hdlrt.errors``.  ``mu`` and
+    ``sigma``, the read-only centering and scale of the statistic the
+    engine stores (eqcov: mu_n and n sigma_n), are set when the plan is
+    built; a plan that cannot run, one the constants reject included,
+    raises ``InvalidPlan`` then.
     """
 
     test: str
@@ -124,25 +130,25 @@ class SimulationPlan:
             raise InvalidPlan(f"reps must be positive, got {self.reps}")
         _as_word("seed", self.seed, InvalidPlan)
         object.__setattr__(self, "alpha", _as_alpha(self.alpha, InvalidPlan))
-        if not isinstance(self.delta, numbers.Real):
-            raise InvalidPlan(f"delta must be a number, got {self.delta!r}")
-        if not 0.0 <= self.delta < 1.0:
-            raise InvalidPlan(f"delta must be in [0, 1), got {self.delta}")
+        _as_delta(self.delta, InvalidPlan)
+        if self.test == "eqcov" and self.delta != 0.0:
+            raise InvalidPlan(_EQCOV_POWER)
         if not isinstance(self.dist, DistributionSpec):
             raise InvalidPlan(f"dist must be a DistributionSpec, got {self.dist!r}")
-        if self.partition is not None and not isinstance(self.partition, BlockPartition):
-            raise InvalidPlan(f"partition must be a BlockPartition, got {self.partition!r}")
+        if self.partition is not None:
+            _as_partition(self.partition, InvalidPlan)
         if self.test != "block" and (self.partition is not None or self.scenario is not None):
             raise InvalidPlan(f"{self.test} plans take no partition")
+        size, foreign = ("n_sizes", "n") if self.test == "eqcov" else ("n", "n_sizes")
+        if getattr(self, foreign) is not None:
+            raise InvalidPlan(f"{self.test} plans take {size}, not {foreign}")
+        if getattr(self, size) is None:
+            raise InvalidPlan(f"{self.test} plans need {size}")
         if self.test == "eqcov":
-            if self.n_sizes is None or self.n is not None:
-                raise InvalidPlan("eqcov plans take n_sizes, not n")
             sizes = _as_integers("n_sizes", self.n_sizes, InvalidPlan, "n_j")
             object.__setattr__(self, "n_sizes", sizes)
             constants, args, scale = eqcov_constants, (self.n_sizes, self.p), sum(self.n_sizes)
         else:
-            if self.n is None or self.n_sizes is not None:
-                raise InvalidPlan(f"{self.test} plans take n, not n_sizes")
             object.__setattr__(self, "n", _as_integer("n", self.n, InvalidPlan))
             if self.test == "correlation":
                 constants, args, scale = correlation_constants, (self.n, self.p), 1
@@ -316,6 +322,8 @@ def ks_distance_to_normal(z: np.ndarray) -> float:
     count = len(zs)
     if count == 0:
         raise ValueError("empty sample")
+    if np.isnan(zs[-1]):  # the sort puts a NaN last
+        raise ValueError("sample contains NaN")
     cdf = np.array([normal_cdf(float(v)) for v in zs])
     upper = np.arange(1, count + 1) / count - cdf
     lower = cdf - np.arange(0, count) / count

@@ -29,6 +29,7 @@ from .errors import (
     DimensionMismatch,
     HdlrtError,
     InvalidAlpha,
+    _as_alpha,
 )
 from .eqcov import _coerce
 from .linalg import _EPS, BlockPartition, _as_data_matrix, _check_symmetric, _mirror
@@ -50,11 +51,7 @@ def normal_quantile(alpha: float) -> float:
     once the interval cannot shrink; either way Phi(result) <= alpha, so
     "z <= quantile(alpha)" agrees exactly with "Phi(z) <= alpha".
     """
-    if not isinstance(alpha, (int, float)) or math.isnan(alpha):
-        raise InvalidAlpha(f"alpha must be a number in (0, 1), got {alpha!r}")
-    a = float(alpha)
-    if not 0.0 < a < 1.0:
-        raise InvalidAlpha(f"alpha must be in the open interval (0, 1), got {a}")
+    a = _as_alpha(alpha, InvalidAlpha)
     lo, hi = -40.0, 40.0
     while True:
         mid = 0.5 * (lo + hi)

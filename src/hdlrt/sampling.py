@@ -98,6 +98,7 @@ def draw_entries(rng: np.random.Generator, n: int, p: int, dist: DistributionSpe
     then scaled to unit variance; the exponential by inverse-CDF sampling.
     Both are exact samplers, keeping the moment structure intact.
     """
+    n, p = _as_integer("n", n, ValueError), _as_integer("p", p, ValueError)
     if n < 1 or p < 1:
         raise ValueError(f"matrix dimensions must be positive, got {n} x {p}")
     if dist.kind == "normal":

@@ -55,7 +55,7 @@ def test_criterion_01_block_level_all_cells():
     elapsed = time.perf_counter() - start
     lo = min(rates.values())
     hi = max(rates.values())
-    gate("criterion 1 (block-test level, 18 cells)",
+    gate(f"criterion 1 (block-test level, {len(STUDY.CELLS['level'])} cells)",
          not failures and elapsed < 300.0,
          f"rates in [{lo:.4f}, {hi:.4f}], window {LEVEL_WINDOW}, "
          f"{elapsed:.0f}s; failures: {failures}")
@@ -64,6 +64,7 @@ def test_criterion_01_block_level_all_cells():
 @pytest.mark.slow
 def test_criterion_02_null_shape_and_invariance(reference_null_run):
     results = {label: reference_null_run(label) for label in DISTRIBUTIONS}
+    reps, = {plan.reps for plan in STUDY.CELLS["hist"]}
     ks = {label: res.ks_statistic for label, res in results.items()}
     ks_ok = all(v <= 0.03 for v in ks.values())
     diff_ok = True
@@ -74,7 +75,7 @@ def test_criterion_02_null_shape_and_invariance(reference_null_run):
         bound = 3.0 * pooled_se(ra.rejection_rate, ra.reps, rb.rejection_rate, rb.reps)
         details.append(f"{a}/{b}: |diff|={gap:.4f} bound={bound:.4f}")
         diff_ok &= gap <= bound
-    gate("criterion 2 (null shape, 10000 reps x 3 distributions)",
+    gate(f"criterion 2 (null shape, {reps} reps x {len(STUDY.CELLS['hist'])} distributions)",
          ks_ok and diff_ok,
          f"KS={ {k: round(v, 4) for k, v in ks.items()} }; " + "; ".join(details))
 
@@ -88,7 +89,7 @@ def test_criterion_03_power_monotone_and_reaches_09():
              if (plan.dist.label, plan.scenario, plan.n, plan.p) == ("normal", 2, 100, 60))
     rates = [res.rejection_rate for _, res in STUDY.run_cell("power", plan, THREADS)]
     monotone = all(
-        rates[i + 1] >= rates[i] - 3.0 * pooled_se(rates[i], 2000, rates[i + 1], 2000)
+        rates[i + 1] >= rates[i] - 3.0 * pooled_se(rates[i], plan.reps, rates[i + 1], plan.reps)
         for i in range(len(rates) - 1)
     )
     gate("criterion 3 (power monotone, reaches 0.9)",

@@ -598,17 +598,17 @@ def test_simulate_flag_kind_mismatch_exit_2(capsys):
     code = run_cli(["simulate", "level", "--test", "corr", "--n", "30", "--p", "6",
                     "--blocks", "3x2", "--reps", "5"])
     assert code == 2
-    assert "--blocks" in capsys.readouterr().err
+    assert "correlation plans take no partition" in capsys.readouterr().err
     code = run_cli(["simulate", "level", "--test", "eqcov", "--n", "30", "--p", "6",
                     "--n-sizes", "15,15", "--reps", "5"])
     assert code == 2
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--test", "eqcov", "--p", "4"], "the eqcov test requires --n-sizes"),
+    (["--test", "eqcov", "--p", "4"], "eqcov plans need n_sizes"),
     (["--test", "corr", "--p", "4", "--n", "30", "--n-sizes", "10,10"],
-     "--n-sizes applies to the eqcov test, not corr"),
-    (["--test", "block", "--p", "4", "--blocks", "2x2"], "the block test requires --n"),
+     "correlation plans take n, not n_sizes"),
+    (["--test", "block", "--p", "4", "--blocks", "2x2"], "block plans need n"),
 ], ids=["eqcov_without_n_sizes", "corr_with_n_sizes", "block_without_n"])
 def test_simulate_missing_or_foreign_size_flag_exit_2(flags, message, capsys):
     code = run_cli(["simulate", "level", *flags, "--reps", "5"])

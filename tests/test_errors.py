@@ -1,23 +1,28 @@
 """The integer rule has one owner, ``hdlrt.errors._as_integer``: every size,
 count, seed and degree of freedom the package takes is refused with
 "<name> must be an integer, got <value>", in the error class of its caller.
-The significance level has one owner too, ``hdlrt.errors._as_alpha``."""
+The significance level, the compound-symmetry delta and the partition type
+have one owner each too: ``hdlrt.errors._as_alpha``, ``hdlrt.errors._as_delta``
+and ``hdlrt.linalg._as_partition``."""
 
 import math
 
 import numpy as np
 import pytest
 
-from hdlrt.blocktest import block_constants, block_test, correlation_constants, correlation_test
+from hdlrt.blocktest import (block_constants, block_test, correlation_constants,
+                             correlation_test, log_vn)
 from hdlrt.eqcov import eqcov_constants, eqcov_test
-from hdlrt.errors import InvalidAlpha, InvalidDesign, InvalidPlan
-from hdlrt.linalg import BlockPartition
-from hdlrt.montecarlo import SimulationPlan, run_histogram, run_level
-from hdlrt.sampling import DistributionSpec
+from hdlrt.errors import DimensionMismatch, InvalidAlpha, InvalidDesign, InvalidPlan
+from hdlrt.linalg import BlockPartition, compound_symmetry_sqrt
+from hdlrt.montecarlo import SimulationPlan, run_histogram, run_level, scenario_partition
+from hdlrt.oracle import normal_quantile
+from hdlrt.sampling import DistributionSpec, draw_entries, entry_generator
 
 PART = BlockPartition((2, 2))
 BLOCK = {"test": "block", "p": 4, "n": 20, "partition": PART, "reps": 3}
 EQCOV = {"test": "eqcov", "p": 3, "n_sizes": (10, 10), "reps": 3}
+NORMAL = DistributionSpec.normal()
 
 # owner: (name in the message, error class, call with the value under test)
 OWNERS = {
@@ -39,6 +44,10 @@ OWNERS = {
     "eqcov_constants_p": ("p", InvalidDesign, lambda v: eqcov_constants((10, 10), v)),
     "bins": ("bins", InvalidPlan, lambda v: run_histogram(SimulationPlan(**BLOCK), bins=v)),
     "threads": ("threads", InvalidPlan, lambda v: run_level(SimulationPlan(**BLOCK), threads=v)),
+    "compound_symmetry_sqrt_p": ("p", ValueError, lambda v: compound_symmetry_sqrt(0.1, v)),
+    "draw_entries_n": ("n", ValueError, lambda v: draw_entries(entry_generator(0), v, 3, NORMAL)),
+    "draw_entries_p": ("p", ValueError, lambda v: draw_entries(entry_generator(0), 3, v, NORMAL)),
+    "scenario_partition_p": ("p", InvalidPlan, lambda v: scenario_partition(1, v)),
 }
 
 
@@ -77,6 +86,7 @@ ALPHA_OWNERS = {
     "correlation_test": (InvalidAlpha, lambda a: correlation_test(DATA, a)),
     "eqcov_test": (InvalidAlpha, lambda a: eqcov_test((DATA[:10, :3], DATA[10:, :3]), a)),
     "plan": (InvalidPlan, lambda a: SimulationPlan(**{**BLOCK, "alpha": a})),
+    "normal_quantile": (InvalidAlpha, normal_quantile),
 }
 
 
@@ -94,3 +104,53 @@ def test_every_alpha_owner_refuses_the_same_levels(owner, value, message):
         call(value)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("owner", list(ALPHA_OWNERS))
+def test_every_alpha_owner_takes_a_numpy_level(owner):
+    # normal_quantile used to refuse np.float32(0.05), which the reports ran
+    _, call = ALPHA_OWNERS[owner]
+    call(np.float32(0.05))
+
+
+# owner: (error class, call with the delta under test)
+DELTA_OWNERS = {
+    "plan": (InvalidPlan, lambda d: SimulationPlan(**{**BLOCK, "delta": d})),
+    "compound_symmetry_sqrt": (ValueError, lambda d: compound_symmetry_sqrt(d, 3)),
+}
+
+
+@pytest.mark.parametrize("value, message", [
+    ("0.1", "delta must be a number, got '0.1'"),
+    (math.nan, "delta must be in [0, 1), got nan"),
+    (-0.1, "delta must be in [0, 1), got -0.1"),
+    (1.0, "delta must be in [0, 1), got 1.0"),
+], ids=["str", "nan", "negative", "one"])
+@pytest.mark.parametrize("owner", list(DELTA_OWNERS))
+def test_every_delta_owner_refuses_the_same_deltas(owner, value, message):
+    # compound_symmetry_sqrt used to raise a bare TypeError on "0.1"
+    error, call = DELTA_OWNERS[owner]
+    with pytest.raises(error) as info:
+        call(value)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+# owner: (error class, call with the partition under test)
+PARTITION_OWNERS = {
+    "plan": (InvalidPlan, lambda part: SimulationPlan(**{**BLOCK, "partition": part})),
+    "block_constants": (InvalidDesign, lambda part: block_constants(20, part)),
+    "log_vn": (DimensionMismatch, lambda part: log_vn(DATA, part)),
+    "block_test": (DimensionMismatch, lambda part: block_test(DATA, part, 0.05)),
+}
+
+
+@pytest.mark.parametrize("owner", list(PARTITION_OWNERS))
+def test_every_partition_owner_refuses_a_tuple(owner):
+    # all but the plan used to raise "AttributeError: 'tuple' object has no
+    # attribute 'p'"
+    error, call = PARTITION_OWNERS[owner]
+    with pytest.raises(error) as info:
+        call((2, 2))
+    assert type(info.value) is error
+    assert str(info.value) == "partition must be a BlockPartition, got (2, 2)"

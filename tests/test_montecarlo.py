@@ -166,8 +166,16 @@ def test_plan_rejects_wrong_types(kwargs, message):
      "partition p=6 does not match plan p=8"),
     (dict(test="block", p=6, n=40, partition=BlockPartition((3, 3)), scenario=2),
      "explicit partition contradicts the scenario"),
-], ids=["unknown_test", "p_1", "n_sizes_on_correlation", "partition_p", "partition_vs_scenario"])
+    (dict(test="block", p=4, partition=BlockPartition((2, 2))), "block plans need n"),
+    (dict(test="correlation", p=4), "correlation plans need n"),
+    (dict(test="eqcov", p=4), "eqcov plans need n_sizes"),
+    (dict(test="eqcov", p=4, n_sizes=(15, 20), delta=0.1), montecarlo._EQCOV_POWER),
+], ids=["unknown_test", "p_1", "n_sizes_on_correlation", "partition_p", "partition_vs_scenario",
+        "block_without_n", "correlation_without_n", "eqcov_without_n_sizes", "eqcov_delta"])
 def test_plan_rejects_inconsistent_fields(kwargs, message):
+    # a missing size field used to read as a foreign one ("block plans take
+    # n, not n_sizes"), and an eqcov plan with delta > 0 was built although
+    # no run accepts it
     with pytest.raises(InvalidPlan) as exc:
         SimulationPlan(**kwargs)
     assert str(exc.value) == message
@@ -631,6 +639,12 @@ def test_histogram_rejects_nonzero_delta():
 def test_ks_distance_rejects_an_empty_sample():
     with pytest.raises(ValueError, match=r"^empty sample$"):
         ks_distance_to_normal([])
+
+
+def test_ks_distance_rejects_a_nan():
+    # it used to return nan
+    with pytest.raises(ValueError, match=r"^sample contains NaN$"):
+        ks_distance_to_normal([0.5, np.nan, -0.5])
 
 
 def test_ks_distance_known_values():
