@@ -10,8 +10,9 @@ exp1 with scenarios 1 and 2 and the sizes (n, p) = (100, 60), (120, 90),
 (180, 120).  The hist cells are the reference regime (n=100, p=60, thirty
 blocks of two) under each distribution.  The acceptance gates
 (tests/test_acceptance.py, criteria 1-3) run their cells from this table
-through ``run_cell``.  For one cell with another seed, alpha, delta grid,
-bin count or shape, use ``hdlrt simulate level|power|hist``.
+through ``run_cell``.  The histograms are binned as ``run_histogram`` bins
+every run.  For one cell with another seed, alpha, delta grid or shape,
+use ``hdlrt simulate level|power|hist``.
 """
 
 import argparse
@@ -31,7 +32,6 @@ SIZES = ((100, 60), (120, 90), (180, 120))
 # The rejection rate at (n, p) = (100, 60) crosses 0.9 only near delta = 0.1,
 # so the grid runs past the library's DEFAULT_DELTA_GRID, which stops at 0.02.
 DELTAS = (0.0, 0.02, 0.04, 0.06, 0.08, 0.10, 0.12)
-BINS = 40
 
 
 def _cell(dist: str, **fields) -> SimulationPlan:
@@ -59,13 +59,12 @@ HEADERS = {
 
 def run_cell(mode: str, plan: SimulationPlan, threads: int = 1):
     """Run one cell of ``mode`` on ``threads`` workers.  Level and hist
-    return a ``SimulationResult`` (hist with its BINS-bin histogram and KS
-    distance); power returns the ``(delta, SimulationResult)`` pairs over
-    DELTAS."""
+    return a ``SimulationResult`` (hist with its histogram and KS distance);
+    power returns the ``(delta, SimulationResult)`` pairs over DELTAS."""
     if mode == "power":
         return run_power_curve(plan, deltas=DELTAS, threads=threads)
     if mode == "hist":
-        return run_histogram(plan, bins=BINS, threads=threads)
+        return run_histogram(plan, threads=threads)
     return run_level(plan, threads=threads)
 
 

@@ -26,6 +26,7 @@ import os
 import sys
 from array import array
 from collections.abc import Iterator
+from dataclasses import fields
 
 # The CLI's parallelism is its --threads worker processes, which fork from
 # this one; a BLAS thread pool in each of them only oversubscribes the
@@ -259,12 +260,11 @@ def _cmd_test(args) -> int:
 
 
 def _build_plan(args) -> SimulationPlan:
-    # the plan refuses an option its test kind does not take (exit 2)
-    return SimulationPlan(
-        test=_TEST_NAMES[args.test], n=args.n, n_sizes=args.n_sizes, p=args.p,
-        partition=args.blocks, scenario=args.scenario, dist=args.dist,
-        reps=args.reps, alpha=args.alpha, seed=args.seed,
-    )
+    # args holds only the plan options the user gave, under the plan's field
+    # names: the plan owns every default and refusal (exit 2)
+    given = {f.name: getattr(args, f.name) for f in fields(SimulationPlan)
+             if hasattr(args, f.name)}
+    return SimulationPlan(**given | {"test": _TEST_NAMES[args.test]})
 
 
 _SIM_HEADER = ["delta", "reps", "rejections", "rate", "se", "seed"]
@@ -293,7 +293,7 @@ def _cmd_sim_rates(args) -> int:
 
 def _cmd_sim_hist(args) -> int:
     plan = _build_plan(args)
-    result = run_histogram(plan, bins=args.bins, threads=args.threads)
+    result = run_histogram(plan, threads=args.threads)
     if args.format == "csv":
         rows = [[rep, float(z)] for rep, z in enumerate(result.z_samples)]
         _write(_csv_text(["rep", "z"], rows), args.out)
@@ -385,25 +385,25 @@ def build_parser() -> argparse.ArgumentParser:
                     help="one CSV per group (repeat the flag)")
     test.set_defaults(func=_cmd_test)
 
-    sim_opts = argparse.ArgumentParser(add_help=False)
+    # An option the user leaves out is not set, so the plan's default holds.
+    sim_opts = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     sim_opts.add_argument("--test", choices=list(_TEST_NAMES), default="block")
     sim_opts.add_argument("--n", type=int, help="sample size (block/corr)")
     sim_opts.add_argument("--n-sizes", type=_list_arg("size", int), dest="n_sizes",
                           help="comma list of group sizes (eqcov)")
     sim_opts.add_argument("--p", type=int, required=True, help="dimension")
-    sim_opts.add_argument("--blocks", type=parse_partition,
+    sim_opts.add_argument("--blocks", type=parse_partition, dest="partition", metavar="BLOCKS",
                           help='partition, e.g. "30x2" or "20,20,20" (block test)')
-    sim_opts.add_argument("--scenario", type=int, choices=[1, 2],
+    sim_opts.add_argument("--scenario", type=int, metavar="{1,2}",
                           help="stock partition layout computed from p")
-    sim_opts.add_argument("--dist", type=_dist_arg, default=DistributionSpec.normal(),
-                          help="normal | t15 | exp1 (default normal)")
-    sim_opts.add_argument("--reps", type=int, default=2000)
-    sim_opts.add_argument("--alpha", type=float, default=0.05)
-    sim_opts.add_argument("--seed", type=int, default=0)
-    sim_opts.add_argument("--threads", type=_threads_arg,
+    sim_opts.add_argument("--dist", type=_dist_arg, help="normal | t15 | exp1 (default normal)")
+    sim_opts.add_argument("--reps", type=int)
+    sim_opts.add_argument("--alpha", type=float)
+    sim_opts.add_argument("--seed", type=int)
+    sim_opts.add_argument("--threads", type=_threads_arg, default=None,
                           help="worker processes, at least 1 (default HDLRT_THREADS, "
                                "else 1); never affects results")
-    sim_opts.add_argument("--out", help="output path (default stdout)")
+    sim_opts.add_argument("--out", default=None, help="output path (default stdout)")
     sim_opts.add_argument("--format", choices=["json", "csv"], default="csv")
 
     sim = sub.add_parser("simulate", help="Monte Carlo level/power/histogram runs")
@@ -419,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sh = sim_sub.add_parser("hist", parents=[sim_opts],
                             help="null histogram of the standardized statistic")
-    sh.add_argument("--bins", type=int, default=40)
     sh.set_defaults(func=_cmd_sim_hist)
 
     return parser

@@ -34,12 +34,21 @@ from .linalg import _as_data_matrix, _mirror, log_det_cholesky, log_det_incremen
 @dataclass(frozen=True, eq=False)
 class GroupedSample:
     """q >= 2 groups of observations sharing the dimension p, each with
-    more observations than dimensions."""
+    more observations than dimensions, given as a sequence of data
+    matrices.  Each group is held to the data rule with the pooled sample
+    size, so that the pooled scatter stays finite too."""
 
     groups: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        groups = tuple(_as_data_matrix(g) for g in self.groups)
+        if isinstance(self.groups, str) or not np.iterable(self.groups):
+            raise DimensionMismatch(
+                f"groups must be a sequence of data matrices, got {self.groups!r}"
+            )
+        arrays = [np.asarray(g, dtype=np.float64) for g in self.groups]
+        # the pooled scatter sums over the rows of every group
+        rows = sum(len(a) for a in arrays if a.ndim == 2)
+        groups = tuple(_as_data_matrix(a, rows=rows) for a in arrays)
         if len(groups) < 2:
             raise InvalidDesign(f"at least two groups required, got {len(groups)}")
         p = groups[0].shape[1]
@@ -68,9 +77,7 @@ class GroupedSample:
 
 
 def _coerce(sample) -> GroupedSample:
-    if isinstance(sample, GroupedSample):
-        return sample
-    return GroupedSample(tuple(sample))
+    return sample if isinstance(sample, GroupedSample) else GroupedSample(sample)
 
 
 def _kahan_matrix_sum(parts: Sequence[np.ndarray]) -> np.ndarray:

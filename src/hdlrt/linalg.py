@@ -37,6 +37,7 @@ from .errors import (
     DegenerateColumn,
     DimensionExceedsSample,
     DimensionMismatch,
+    HdlrtError,
     NotPositiveDefinite,
     _as_delta,
     _as_integer,
@@ -125,17 +126,28 @@ def _as_partition(value, error: type[Exception]) -> BlockPartition:
     return value
 
 
-def _as_data_matrix(data, stack: bool = False) -> np.ndarray:
+def _as_data_matrix(data, stack: bool = False, rows: int = 0) -> np.ndarray:
     """Validate and coerce an observations-by-variables array, or with
-    ``stack`` also a stack (k, n, p) of them."""
+    ``stack`` also a stack (k, n, p) of them.
+
+    Every entry of a scatter matrix summed over ``rows`` observations (at
+    least the data's own n) is at most rows * max|x|^2 in magnitude; data
+    for which twice that overflows, the factor covering the rounding of
+    the sums, is refused with an ``HdlrtError``.
+    """
     a = np.asarray(data, dtype=np.float64)
     if a.ndim != 2 and not (stack and a.ndim == 3):
         kinds = "2-d (n x p) or a stack (k x n x p)" if stack else "2-d (n x p)"
         raise DimensionMismatch(f"data must be {kinds}, got shape {a.shape}")
     if a.size == 0:
         raise DimensionMismatch(f"data must be non-empty, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    lo, hi = float(a.min()), float(a.max())  # a NaN propagates to both
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("data contains non-finite entries")
+    top, rows = max(-lo, hi), max(rows, a.shape[-2])
+    if not math.isfinite(2.0 * rows * top * top):
+        raise HdlrtError(f"data entries up to {top:.3g} in magnitude overflow the "
+                         f"scatter matrix of {rows} observations")
     return a
 
 
@@ -176,21 +188,20 @@ def log_det_cholesky(a):
     Raises
     ------
     NotPositiveDefinite
-        If the factorization fails or produces a non-positive or
-        non-finite pivot (e.g. a singular sample covariance with p >= n),
-        for any slice of a stack.
+        If the matrix contains a non-finite entry or the factorization
+        fails (e.g. a singular sample covariance with p >= n), for any
+        slice of a stack.  The factor of a finite matrix that factors has
+        a positive, finite diagonal.
     """
-    m = _check_symmetric(a, stack=True)
-    if not np.isfinite(m).all():
+    m = np.asarray(a, dtype=np.float64)
+    if not np.isfinite(m).all():  # before the symmetry check, to which NaN != NaN
         raise NotPositiveDefinite("matrix contains non-finite entries")
+    m = _check_symmetric(m, stack=True)
     try:
         chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from exc
-    diag = np.diagonal(chol, axis1=-2, axis2=-1)
-    if not np.all(diag > 0) or not np.isfinite(diag).all():
-        raise NotPositiveDefinite("non-positive pivot in Cholesky factor")
-    return _as_result(2.0 * np.log(diag).sum(axis=-1))
+    return _as_result(2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1))
 
 
 def _squared_r_diagonal(stack: np.ndarray) -> np.ndarray:

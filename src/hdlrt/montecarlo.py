@@ -43,7 +43,8 @@ from .eqcov import GroupedSample, eqcov_constants, log_lambda2
 from .errors import (InvalidDesign, InvalidPlan, _as_alpha, _as_delta, _as_integer, _as_integers,
                      _as_word)
 from .linalg import BlockPartition, _as_partition, compound_symmetry_sqrt
-from .sampling import DistributionSpec, apply_root, draw_entries, entry_generator, normal_cdf
+from .sampling import (DistributionSpec, _as_distribution, apply_root, draw_entries,
+                       entry_generator, normal_cdf)
 
 #: Default power grid; configurable per run since the transition point
 #: moves with (n, p) and the partition.
@@ -51,9 +52,9 @@ DEFAULT_DELTA_GRID = tuple(round(0.002 * k, 6) for k in range(11))
 
 _TESTS = ("block", "correlation", "eqcov")
 
-#: Range of the histogram's interior bins; z outside it lands in the two
-#: overflow bins.
+#: The histogram's equal interior bins; z outside the range lands in two overflow bins.
 HISTOGRAM_RANGE = (-4.0, 4.0)
+HISTOGRAM_BINS = 40
 
 _EQCOV_POWER = "power simulation is defined for the block and correlation tests only"
 
@@ -87,7 +88,9 @@ def scenario_partition(scenario: int, p: int) -> BlockPartition:
 
 @dataclass(frozen=True)
 class SimulationPlan:
-    """Descriptor of one simulation experiment.
+    """Descriptor of one simulation experiment.  Its field defaults (normal
+    entries, 2000 replications, alpha 0.05, seed 0) and its refusals are
+    the only ones: ``hdlrt simulate`` passes it just the options given.
 
     ``test`` is "block", "correlation" or "eqcov".  Block plans need ``n``
     and a partition (directly or through ``scenario``), correlation plans
@@ -99,12 +102,12 @@ class SimulationPlan:
     delta = 0 the null; eqcov has no alternative to simulate, so an eqcov
     plan with delta > 0 is refused in ``run_power``'s words.  Sizes, ``p``,
     ``reps``, ``seed`` and ``scenario`` are integers, the seed in
-    [0, 2**64); ``delta`` is a real number in [0, 1) and ``alpha`` one in
-    (0, 1), under the package's rules in ``hdlrt.errors``.  ``mu`` and
-    ``sigma``, the read-only centering and scale of the statistic the
-    engine stores (eqcov: mu_n and n sigma_n), are set when the plan is
-    built; a plan that cannot run, one the constants reject included,
-    raises ``InvalidPlan`` then.
+    [0, 2**64); ``delta`` is a real number in [0, 1), ``alpha`` one in
+    (0, 1) and ``dist`` a ``DistributionSpec``, under the package's rules.
+    ``mu`` and ``sigma``, the read-only centering and scale of the
+    statistic the engine stores (eqcov: mu_n and n sigma_n), are set when
+    the plan is built; a plan that cannot run, one the constants reject
+    included, raises ``InvalidPlan`` then.
     """
 
     test: str
@@ -133,8 +136,7 @@ class SimulationPlan:
         _as_delta(self.delta, InvalidPlan)
         if self.test == "eqcov" and self.delta != 0.0:
             raise InvalidPlan(_EQCOV_POWER)
-        if not isinstance(self.dist, DistributionSpec):
-            raise InvalidPlan(f"dist must be a DistributionSpec, got {self.dist!r}")
+        _as_distribution(self.dist, InvalidPlan)
         if self.partition is not None:
             _as_partition(self.partition, InvalidPlan)
         if self.test != "block" and (self.partition is not None or self.scenario is not None):
@@ -330,17 +332,15 @@ def ks_distance_to_normal(z: np.ndarray) -> float:
     return float(max(upper.max(), lower.max()))
 
 
-def run_histogram(plan: SimulationPlan, bins: int = 40, threads: int = 1) -> SimulationResult:
-    """Null run that bins the z sample over ``HISTOGRAM_RANGE`` with two
-    overflow bins, and attaches the KS distance to the standard normal."""
+def run_histogram(plan: SimulationPlan, threads: int = 1) -> SimulationResult:
+    """Null run that bins the z sample into ``HISTOGRAM_BINS`` equal bins
+    over ``HISTOGRAM_RANGE`` and two overflow bins, with the KS distance to
+    the standard normal; ``z_samples`` gives any other binning."""
     if plan.delta != 0.0:
         raise InvalidPlan("histogram runs require delta = 0")
-    bins = _as_integer("bins", bins, InvalidPlan)
-    if bins < 1:
-        raise InvalidPlan(f"bins must be positive, got {bins}")
     z = _simulate(plan, (plan.delta,), threads)[0]
     lo, hi = HISTOGRAM_RANGE
-    edges = np.linspace(lo, hi, bins + 1)
+    edges = np.linspace(lo, hi, HISTOGRAM_BINS + 1)
     interior, _ = np.histogram(z[(z >= lo) & (z <= hi)], bins=edges)
     counts = np.concatenate(([int(np.sum(z < lo))], interior, [int(np.sum(z > hi))]))
     result = _aggregate(plan, z)

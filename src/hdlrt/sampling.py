@@ -62,7 +62,7 @@ class DistributionSpec:
     @classmethod
     def parse(cls, name: str) -> "DistributionSpec":
         """Parse CLI-style names: "normal", "t15", "exp1" (alias "exp")."""
-        text = name.strip().lower()
+        text = name.strip().lower() if isinstance(name, str) else ""  # matches no name
         if text in ("normal", "gaussian"):
             return cls.normal()
         if text.startswith("t") and text[1:].isdigit():
@@ -78,6 +78,14 @@ class DistributionSpec:
         if self.kind == "t":
             return f"t{self.df}"
         return "exp1"
+
+
+def _as_distribution(value, error: type[Exception]) -> DistributionSpec:
+    """The package's distribution-type rule: ``value`` must be a
+    ``DistributionSpec``; raises the error class its caller names."""
+    if not isinstance(value, DistributionSpec):
+        raise error(f"dist must be a DistributionSpec, got {value!r}")
+    return value
 
 
 def entry_generator(seed: int, stream: int = 0) -> np.random.Generator:
@@ -101,7 +109,7 @@ def draw_entries(rng: np.random.Generator, n: int, p: int, dist: DistributionSpe
     n, p = _as_integer("n", n, ValueError), _as_integer("p", p, ValueError)
     if n < 1 or p < 1:
         raise ValueError(f"matrix dimensions must be positive, got {n} x {p}")
-    if dist.kind == "normal":
+    if _as_distribution(dist, ValueError).kind == "normal":
         return rng.standard_normal((n, p))
     if dist.kind == "t":
         df = dist.df

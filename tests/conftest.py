@@ -8,15 +8,17 @@ the distribution-shape tests and the acceptance gate.
 
 from __future__ import annotations
 
+import argparse
 import importlib.util
 import multiprocessing
 import os
+import warnings
 from pathlib import Path
 
 # hdlrt.cli first: it sets the CLI's one-thread BLAS default before numpy
 # loads.  The tests that simulate run on THREADS worker processes, and a
 # BLAS thread pool in each would only oversubscribe the cores.
-import hdlrt.cli  # noqa: F401
+from hdlrt.cli import _threads_arg
 import numpy as np
 import pytest
 
@@ -24,9 +26,22 @@ from hdlrt import DistributionSpec
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
-# Worker count of the acceptance-scale simulations: 2, or HDLRT_THREADS.
-# Results never depend on it (criterion 10).
-THREADS = int(os.environ.get("HDLRT_THREADS") or 2)
+
+def _threads() -> int:
+    """HDLRT_THREADS under the CLI's rule, else 2; a value the CLI would
+    refuse warns and keeps 2, as ``hdlrt`` warns and keeps 1."""
+    env = os.environ.get("HDLRT_THREADS")
+    try:
+        return _threads_arg(env) if env else 2
+    except argparse.ArgumentTypeError:
+        warnings.warn(f"ignoring HDLRT_THREADS={env!r}, not a positive integer; "
+                      "using 2 workers")
+        return 2
+
+
+# Worker count of the acceptance-scale simulations.  Results never depend
+# on it (criterion 10).
+THREADS = _threads()
 
 
 def load_script(name):
@@ -39,6 +54,18 @@ def load_script(name):
 
 STUDY = load_script("study")
 DISTRIBUTIONS = {label: DistributionSpec.parse(label) for label in STUDY.DISTS}
+
+
+def near_overflow(top, columns=6, n=40, p=6, seed=0):
+    """Standard normal data whose first ``columns`` columns hold entries of
+    random sign, each within 2% below ``top`` in magnitude and one at
+    ``top``, so that n * top**2 is their scatter's scale."""
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((n, p))
+    sign = np.where(data[:, :columns] < 0.0, -top, top)
+    data[:, :columns] = sign * (1.0 - 0.02 * rng.random((n, columns)))
+    data[0, 0] = top
+    return data
 
 
 @pytest.fixture(scope="session")

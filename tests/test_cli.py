@@ -8,11 +8,13 @@ import sys
 import numpy as np
 import pytest
 
-from hdlrt.cli import _parse_csv_rows, main, parse_csv, parse_partition
+from hdlrt.cli import _parse_csv_rows, build_parser, main, parse_csv, parse_partition
 from hdlrt.errors import ParseError, RaggedRows
 from hdlrt.linalg import BlockPartition
 from hdlrt.oracle import naive_log_vn
 from hdlrt.sampling import DistributionSpec, draw_entries, entry_generator
+
+from conftest import near_overflow
 
 GOLDEN_LEVEL_CSV = (
     "delta,reps,rejections,rate,se,seed\n"
@@ -228,6 +230,39 @@ def test_block_partition_errors_exit_2(tmp_path, capsys, n, partition, message):
     code = run_cli(["test", "block", "--input", str(data_path), "--partition", partition])
     assert code == 2
     assert capsys.readouterr().err == f"hdlrt: error: {message}\n"
+
+
+def _overflow_commands(tmp_path, top, columns=6):
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for seed, path in enumerate(paths):
+        np.savetxt(path, near_overflow(top, columns, seed=seed), delimiter=",")
+    return {
+        "block": ["test", "block", "--input", str(paths[0]), "--partition", "3,3"],
+        "corr": ["test", "corr", "--input", str(paths[0])],
+        "eqcov": ["test", "eqcov", "--input", str(paths[0]), "--input", str(paths[1])],
+    }
+
+
+@pytest.mark.parametrize("kind, rows", [("block", 40), ("corr", 40), ("eqcov", 80)])
+def test_data_whose_scatter_overflows_is_one_error_line_exit_2(tmp_path, capsys, kind, rows):
+    # n * max|x|^2 is above the float64 maximum.  block used to print a NaN
+    # report with exit 0, corr to call a variable's variance zero, and eqcov
+    # to escape as "ValueError: matrix is not exactly symmetric"
+    assert run_cli(_overflow_commands(tmp_path, 2.2e153, columns=1)[kind]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("hdlrt: error: data entries up to 2.2e+153 in magnitude overflow "
+                   f"the scatter matrix of {rows} observations\n")
+
+
+@pytest.mark.parametrize("kind", ["block", "corr", "eqcov"])
+def test_data_below_the_overflow_bound_gives_a_finite_report(tmp_path, capsys, kind):
+    assert run_cli(_overflow_commands(tmp_path, 1e153)[kind]) == 0
+
+    def refuse(name):
+        raise ValueError(f"{name} in the report")
+    report = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert report["log_statistic"] < 0.0
 
 
 def test_missing_file_exit_1(capsys):
@@ -533,13 +568,13 @@ def test_simulate_power_schema_and_rates(tmp_path):
 def test_simulate_hist_json(tmp_path):
     out_path = tmp_path / "hist.json"
     code = run_cli(["simulate", "hist", "--test", "corr", "--n", "30", "--p", "6",
-                    "--reps", "40", "--seed", "3", "--bins", "8",
+                    "--reps", "40", "--seed", "3",
                     "--format", "json", "--out", str(out_path)])
     assert code == 0
     payload = json.loads(out_path.read_text())
     assert sum(payload["counts"]) == 40
-    assert len(payload["bin_edges"]) == 9
-    assert len(payload["counts"]) == 10
+    assert len(payload["bin_edges"]) == 41
+    assert len(payload["counts"]) == 42
     assert len(payload["z_samples"]) == 40
     assert 0.0 <= payload["ks_statistic"] <= 1.0
 
@@ -578,6 +613,29 @@ def test_simulate_scenario_flag(tmp_path):
                     "--scenario", "2", "--reps", "20", "--seed", "1",
                     "--format", "csv", "--out", str(out_path)])
     assert code == 0
+
+
+def test_simulate_passes_the_plan_only_the_options_given():
+    # the plan's defaults are the only ones; the CLI used to restate four
+    args = build_parser().parse_args(["simulate", "level", "--n", "30", "--p", "6"])
+    assert set(vars(args)) == {"command", "kind", "func", "test", "n", "p", "threads",
+                               "out", "format"}
+
+
+def test_simulate_scenario_outside_one_and_two_is_the_plans_refusal(capsys):
+    # argparse used to refuse it as an invalid choice, before the plan
+    code = run_cli(["simulate", "level", "--n", "30", "--p", "6", "--scenario", "3"])
+    assert code == 2
+    assert capsys.readouterr().err == "hdlrt: error: scenario must be 1 or 2, got 3\n"
+
+
+def test_simulate_hist_has_no_bins_option(capsys):
+    # the histogram always has HISTOGRAM_BINS bins; every z is in the output
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["simulate", "hist", "--n", "30", "--p", "6", "--scenario", "1",
+                 "--bins", "8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bins 8" in capsys.readouterr().err
 
 
 def test_simulate_invalid_design_exit_2(tmp_path, capsys):

@@ -1,9 +1,11 @@
 """The integer rule has one owner, ``hdlrt.errors._as_integer``: every size,
 count, seed and degree of freedom the package takes is refused with
 "<name> must be an integer, got <value>", in the error class of its caller.
-The significance level, the compound-symmetry delta and the partition type
-have one owner each too: ``hdlrt.errors._as_alpha``, ``hdlrt.errors._as_delta``
-and ``hdlrt.linalg._as_partition``."""
+The significance level, the compound-symmetry delta, the partition type,
+the distribution type and the data rule have one owner each too:
+``hdlrt.errors._as_alpha``, ``hdlrt.errors._as_delta``,
+``hdlrt.linalg._as_partition``, ``hdlrt.sampling._as_distribution`` and
+``hdlrt.linalg._as_data_matrix``."""
 
 import math
 
@@ -12,12 +14,14 @@ import pytest
 
 from hdlrt.blocktest import (block_constants, block_test, correlation_constants,
                              correlation_test, log_vn)
-from hdlrt.eqcov import eqcov_constants, eqcov_test
-from hdlrt.errors import DimensionMismatch, InvalidAlpha, InvalidDesign, InvalidPlan
+from hdlrt.eqcov import GroupedSample, eqcov_constants, eqcov_test, log_lambda2
+from hdlrt.errors import DimensionMismatch, HdlrtError, InvalidAlpha, InvalidDesign, InvalidPlan
 from hdlrt.linalg import BlockPartition, compound_symmetry_sqrt
-from hdlrt.montecarlo import SimulationPlan, run_histogram, run_level, scenario_partition
+from hdlrt.montecarlo import SimulationPlan, run_level, scenario_partition
 from hdlrt.oracle import normal_quantile
 from hdlrt.sampling import DistributionSpec, draw_entries, entry_generator
+
+from conftest import near_overflow
 
 PART = BlockPartition((2, 2))
 BLOCK = {"test": "block", "p": 4, "n": 20, "partition": PART, "reps": 3}
@@ -42,7 +46,6 @@ OWNERS = {
     "correlation_constants_p": ("p", InvalidDesign, lambda v: correlation_constants(20, v)),
     "eqcov_constants_n_j": ("n_j", InvalidDesign, lambda v: eqcov_constants((10, v), 3)),
     "eqcov_constants_p": ("p", InvalidDesign, lambda v: eqcov_constants((10, 10), v)),
-    "bins": ("bins", InvalidPlan, lambda v: run_histogram(SimulationPlan(**BLOCK), bins=v)),
     "threads": ("threads", InvalidPlan, lambda v: run_level(SimulationPlan(**BLOCK), threads=v)),
     "compound_symmetry_sqrt_p": ("p", ValueError, lambda v: compound_symmetry_sqrt(0.1, v)),
     "draw_entries_n": ("n", ValueError, lambda v: draw_entries(entry_generator(0), v, 3, NORMAL)),
@@ -72,6 +75,33 @@ def test_every_integer_owner_refuses_a_non_integer(owner, value, shown):
 def test_a_bare_number_for_a_list_of_sizes_is_refused(message, error, call):
     # the plan and the constants used to raise "TypeError: 'int' object is
     # not iterable"
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value, shown", [(3, "3"), ("ab", "'ab'")], ids=["int", "str"])
+@pytest.mark.parametrize("call", [GroupedSample, lambda v: eqcov_test(v, 0.05), log_lambda2],
+                         ids=["GroupedSample", "eqcov_test", "log_lambda2"])
+def test_a_bare_value_for_the_groups_is_refused(call, value, shown):
+    # 3 used to raise "TypeError: 'int' object is not iterable", and "ab" to
+    # be read one character at a time
+    with pytest.raises(DimensionMismatch) as info:
+        call(value)
+    assert str(info.value) == f"groups must be a sequence of data matrices, got {shown}"
+
+
+@pytest.mark.parametrize("message, error, call", [
+    ("dist must be a DistributionSpec, got 't15'", InvalidPlan,
+     lambda: SimulationPlan(**{**BLOCK, "dist": "t15"})),
+    ("dist must be a DistributionSpec, got 'normal'", ValueError,
+     lambda: draw_entries(entry_generator(0), 3, 3, "normal")),
+    ("cannot parse distribution name 3", ValueError, lambda: DistributionSpec.parse(3)),
+], ids=["plan", "draw_entries", "parse"])
+def test_every_distribution_owner_refuses_a_name_or_number(message, error, call):
+    # draw_entries and parse used to raise an AttributeError ("'str' object
+    # has no attribute 'kind'", "'int' object has no attribute 'strip'")
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error
@@ -154,3 +184,26 @@ def test_every_partition_owner_refuses_a_tuple(owner):
         call((2, 2))
     assert type(info.value) is error
     assert str(info.value) == "partition must be a BlockPartition, got (2, 2)"
+
+
+HALVES = BlockPartition((3, 3))
+
+
+@pytest.mark.parametrize("rows, top, call", [
+    (40, 2.2e153, lambda top: block_test(near_overflow(top, columns=1), HALVES, 0.05)),
+    (40, 2.2e153, lambda top: block_test(near_overflow(top), HALVES, 0.05)),
+    (40, 2.2e153, lambda top: correlation_test(near_overflow(top), 0.05)),
+    (40, 2.2e153, lambda top: log_vn(np.stack([near_overflow(1.0),
+                                               near_overflow(top, columns=1)]), HALVES)),
+    # each group of 40 is below the bound; the pooled scatter of 120 is not
+    (120, 1.3e153, lambda top: eqcov_test([near_overflow(top, seed=s) for s in range(3)], 0.05)),
+], ids=["block_test_one_column", "block_test", "correlation_test", "log_vn_stack",
+        "eqcov_pooled"])
+def test_every_data_owner_refuses_data_whose_scatter_overflows(rows, top, call):
+    # block_test and log_vn used to return NaN (one column) or call a column
+    # dependent, correlation_test to raise ZeroVariance, and eqcov_test to
+    # call the pooled scatter non-finite
+    with pytest.raises(HdlrtError) as info:
+        call(top)
+    assert str(info.value) == (f"data entries up to {top:.3g} in magnitude overflow the "
+                               f"scatter matrix of {rows} observations")

@@ -386,3 +386,11 @@ def test_log_det_cholesky_rejects_an_infinite_entry():
     m[1, 1] = np.inf
     with pytest.raises(NotPositiveDefinite, match=r"^matrix contains non-finite entries$"):
         log_det_cholesky(m)
+
+
+def test_log_det_cholesky_rejects_a_nan_entry():
+    # NaN != NaN, so the symmetry check used to refuse it as not symmetric
+    m = np.eye(3)
+    m[0, 2] = m[2, 0] = np.nan
+    with pytest.raises(NotPositiveDefinite, match=r"^matrix contains non-finite entries$"):
+        log_det_cholesky(m)
