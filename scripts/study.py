@@ -23,7 +23,7 @@ import time
 from dataclasses import replace
 
 # hdlrt.cli first: it sets the CLI's one-thread BLAS default before numpy loads.
-from hdlrt.cli import _threads_arg
+import hdlrt.cli
 from hdlrt import (BlockPartition, DistributionSpec, InvalidPlan, SimulationPlan,
                    run_histogram, run_level, run_power_curve)
 
@@ -80,7 +80,7 @@ def main(argv=None) -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("mode", choices=CELLS)
     parser.add_argument("--reps", type=int, help="replications per cell (default: the table's)")
-    parser.add_argument("--threads", type=_threads_arg, default=1)
+    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--out", help="output file, a file prefix for hist "
                                       "(default: level_table.csv, power_curves.csv, null_hist)")
     args = parser.parse_args(argv)
@@ -94,7 +94,10 @@ def main(argv=None) -> int:
     rows, written = [], []
     start = time.perf_counter()
     for plan in plans:
-        result = run_cell(args.mode, plan, args.threads)
+        try:
+            result = run_cell(args.mode, plan, args.threads)
+        except InvalidPlan as exc:  # the engine's threads rule, before any draw
+            parser.error(str(exc))
         label = plan.dist.label
         cell = [label, plan.scenario, plan.n, plan.p]
         name = f"{label:7s} scenario {plan.scenario} (n={plan.n:3d}, p={plan.p:3d})"

@@ -30,7 +30,6 @@ from .errors import (
     _as_integer,
 )
 from .linalg import (
-    _EPS,
     BlockPartition,
     _as_data_matrix,
     _as_partition,
@@ -191,16 +190,16 @@ def log_det_correlation(data):
     Algebraically identical to ``log_vn`` with the all-singleton
     partition, and computed through it.
 
-    Raises ZeroVariance if a diagonal entry of the sample covariance is
-    zero to within a relative tolerance.
+    Like the correlation matrix, the value does not depend on the scale of
+    any column.  Raises ZeroVariance if a column's sum of squares is zero
+    (a zero column, or one whose squares all underflow); a column that is
+    numerically dependent on the others is the QR's ``DegenerateColumn``.
     """
     a = _as_data_matrix(data, stack=True)
     n, p = a.shape[-2:]
     if p >= n:
         raise DimensionExceedsSample(f"requires p < n, got p={p}, n={n}")
-    diag = np.einsum("...ij,...ij->...j", a, a) / n
-    top = np.max(diag, axis=-1, keepdims=True)
-    if np.any(top <= 0.0) or np.any(diag <= _EPS * top):
+    if np.any(np.einsum("...ij,...ij->...j", a, a) == 0.0):
         raise ZeroVariance("a variable has (numerically) zero variance")
     return log_vn(a, BlockPartition.unit(p))
 

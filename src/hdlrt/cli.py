@@ -334,26 +334,6 @@ def _plan_payload(plan: SimulationPlan) -> dict:
     return payload
 
 
-def _threads_arg(text: str) -> int:
-    try:
-        threads = int(text)
-        if threads >= 1:
-            return threads
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-
-
-def _default_threads() -> int:
-    env = os.environ.get("HDLRT_THREADS")
-    try:
-        return _threads_arg(env) if env else 1
-    except argparse.ArgumentTypeError:
-        print(f"hdlrt: warning: ignoring HDLRT_THREADS={env!r}, not a positive integer; "
-              "using 1 worker", file=sys.stderr)
-        return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hdlrt",
@@ -400,9 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim_opts.add_argument("--reps", type=int)
     sim_opts.add_argument("--alpha", type=float)
     sim_opts.add_argument("--seed", type=int)
-    sim_opts.add_argument("--threads", type=_threads_arg, default=None,
-                          help="worker processes, at least 1 (default HDLRT_THREADS, "
-                               "else 1); never affects results")
+    sim_opts.add_argument("--threads", type=int, default=1,
+                          help="worker processes, at least 1 (default 1); never affects results")
     sim_opts.add_argument("--out", default=None, help="output path (default stdout)")
     sim_opts.add_argument("--format", choices=["json", "csv"], default="csv")
 
@@ -427,8 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 0) is None:
-        args.threads = _default_threads()
     try:
         return args.func(args)
     except (InputFileError, OSError) as exc:

@@ -235,9 +235,10 @@ def incremental_quad_forms(data) -> np.ndarray:
     Raises
     ------
     DegenerateColumn
-        If a residual norm underflows the rank-deficiency tolerance
-        (squared norm below n * eps^2 * squared column norm), naming the
-        first such data column.
+        If a column's squared norm is zero (the column is zero, or its
+        squares underflow) or its residual norm underflows the
+        rank-deficiency tolerance (squared norm below n * eps^2 * squared
+        column norm), naming the first such data column.
     DimensionExceedsSample
         If there are more columns than observations.
     """
@@ -252,6 +253,9 @@ def incremental_quad_forms(data) -> np.ndarray:
     if bad.any():
         where = tuple(np.argwhere(bad)[0])
         if norms[where] == 0.0:
+            if a[where[:-1] + (slice(None), where[-1])].any():
+                raise DegenerateColumn(f"column {where[-1]} is not zero, but its squares "
+                                       "underflow")
             raise DegenerateColumn(f"column {where[-1]} is identically zero")
         raise DegenerateColumn(f"column {where[-1]} is numerically dependent on its predecessors")
     return quad

@@ -1,4 +1,4 @@
-"""Shared fixtures, and the loader of the study script.
+"""Shared fixtures, the suite's worker count, and the loader of the study script.
 
 The reference-regime z samples (the hist cells of ``scripts/study.py``:
 n=100, p=60, thirty blocks of two, 10000 replications per distribution)
@@ -8,17 +8,14 @@ the distribution-shape tests and the acceptance gate.
 
 from __future__ import annotations
 
-import argparse
 import importlib.util
 import multiprocessing
-import os
-import warnings
 from pathlib import Path
 
 # hdlrt.cli first: it sets the CLI's one-thread BLAS default before numpy
 # loads.  The tests that simulate run on THREADS worker processes, and a
 # BLAS thread pool in each would only oversubscribe the cores.
-from hdlrt.cli import _threads_arg
+import hdlrt.cli
 import numpy as np
 import pytest
 
@@ -26,22 +23,9 @@ from hdlrt import DistributionSpec
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
-
-def _threads() -> int:
-    """HDLRT_THREADS under the CLI's rule, else 2; a value the CLI would
-    refuse warns and keeps 2, as ``hdlrt`` warns and keeps 1."""
-    env = os.environ.get("HDLRT_THREADS")
-    try:
-        return _threads_arg(env) if env else 2
-    except argparse.ArgumentTypeError:
-        warnings.warn(f"ignoring HDLRT_THREADS={env!r}, not a positive integer; "
-                      "using 2 workers")
-        return 2
-
-
 # Worker count of the acceptance-scale simulations.  Results never depend
 # on it (criterion 10).
-THREADS = _threads()
+THREADS = 2
 
 
 def load_script(name):

@@ -301,6 +301,32 @@ def test_log_det_correlation_zero_variance_column(rng):
         log_det_correlation(data)
 
 
+@pytest.mark.parametrize("scale", [1e8, 1e9, 1e100, 1e-100, 1e-162])
+def test_correlation_statistic_is_invariant_to_a_column_scale(scale):
+    # a column whose mean square was below eps times the largest one's, or
+    # underflowed, used to be refused as ZeroVariance
+    stack = np.random.default_rng(0).standard_normal((3, 40, 6))
+    scaled = stack.copy()
+    scaled[:, :, 0] *= scale
+    assert correlation_test(scaled[0], 0.05).z == pytest.approx(
+        correlation_test(stack[0], 0.05).z, rel=1e-12)
+    assert log_det_correlation(scaled) == pytest.approx(log_det_correlation(stack), rel=1e-12)
+
+
+@pytest.mark.parametrize("scale, fault", [(0.0, "is identically zero"),
+                                          (1e-170, "is not zero, but its squares underflow")],
+                         ids=["zero", "underflow"])
+def test_a_column_with_zero_squared_norm_is_named_for_its_cause(scale, fault, rng):
+    # a column whose squares underflow used to be called identically zero
+    data = rng.standard_normal((40, 6))
+    data[:, 2] *= scale
+    for x in (data, np.stack([rng.standard_normal((40, 6)), data])):
+        with pytest.raises(DegenerateColumn, match=f"^column 2 {fault}$"):
+            incremental_quad_forms(x)
+    with pytest.raises(DegenerateColumn, match=f"^column 0 {fault}$"):
+        block_test(data * scale, BlockPartition((3, 3)), 0.05)
+
+
 # ---------------------------------------------------------------------------
 # decision rule
 # ---------------------------------------------------------------------------

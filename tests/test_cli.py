@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from hdlrt import montecarlo
 from hdlrt.cli import _parse_csv_rows, build_parser, main, parse_csv, parse_partition
 from hdlrt.errors import ParseError, RaggedRows
 from hdlrt.linalg import BlockPartition
@@ -694,42 +695,40 @@ def test_simulate_block_hist_with_blocks_flag(tmp_path):
     assert payload["plan"]["dist"] == "t15"
 
 
-def test_threads_env_fallback(monkeypatch, capsys):
-    from hdlrt.cli import _default_threads
-
-    monkeypatch.setenv("HDLRT_THREADS", "3")
-    assert _default_threads() == 3
-    monkeypatch.delenv("HDLRT_THREADS")
-    assert _default_threads() == 1
-    assert capsys.readouterr().err == ""
-    for bad in ("junk", "0", "-3"):
-        monkeypatch.setenv("HDLRT_THREADS", bad)
-        assert _default_threads() == 1
-        assert capsys.readouterr().err == (
-            f"hdlrt: warning: ignoring HDLRT_THREADS={bad!r}, not a positive integer; "
-            "using 1 worker\n")
-
-
 @pytest.mark.parametrize("threads", ["0", "-1"])
 def test_threads_below_one_exit_2(threads, capsys):
+    # the engine's rule is the only one; the CLI used to restate it in
+    # argparse's words
+    code = run_cli(["simulate", "level", "--test", "block", "--n", "40", "--p", "8",
+                    "--blocks", "2x4", "--reps", "10", "--threads", threads])
+    assert code == 2
+    assert capsys.readouterr().err == f"hdlrt: error: threads must be at least 1, got {threads}\n"
+
+
+def test_threads_not_an_integer_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
-        run_cli(["simulate", "level", "--test", "block", "--n", "40", "--p", "8",
-                 "--blocks", "2x4", "--reps", "10", "--threads", threads])
+        run_cli(["simulate", "level", "--n", "40", "--p", "8", "--threads", "two"])
     assert exc.value.code == 2
-    assert "--threads: must be a positive integer" in capsys.readouterr().err
+    assert "argument --threads: invalid int value: 'two'" in capsys.readouterr().err
 
 
-def test_threads_env_bad_value_warns_once_and_keeps_output(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("HDLRT_THREADS", "two")
+@pytest.mark.parametrize("env", ["two", "3"])
+def test_threads_env_is_not_read(env, tmp_path, monkeypatch, capsys):
+    # --threads is the only knob; HDLRT_THREADS used to set the count, or
+    # warn and use 1 worker
+    monkeypatch.setenv("HDLRT_THREADS", env)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool started without --threads")
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
     out_path = tmp_path / "level.csv"
     code = run_cli(["simulate", "level", "--test", "block", "--n", "40", "--p", "8",
                     "--blocks", "2x4", "--reps", "50", "--seed", "42",
                     "--format", "csv", "--out", str(out_path)])
     assert code == 0
     assert out_path.read_text() == GOLDEN_LEVEL_CSV
-    warnings = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
-    assert warnings == ["hdlrt: warning: ignoring HDLRT_THREADS='two', not a positive "
-                        "integer; using 1 worker"]
+    assert capsys.readouterr().err == "level: rate=0.0600 (se=0.0336)\n"
 
 
 # ---------------------------------------------------------------------------

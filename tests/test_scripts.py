@@ -62,7 +62,7 @@ def usage_error(argv, tmp_path, monkeypatch, capsys) -> str:
                          ids=["level_table", "power_curves", "null_histograms"])
 def test_threads_below_one_is_usage_error(mode, tmp_path, monkeypatch, capsys):
     err = usage_error([mode, "--threads", "0", "--reps", "2"], tmp_path, monkeypatch, capsys)
-    assert "--threads" in err
+    assert "error: threads must be at least 1, got 0" in err
 
 
 @pytest.mark.parametrize("argv, message", [
