@@ -25,7 +25,6 @@ from .errors import (
     DimensionMismatch,
     InvalidAlpha,
     InvalidDesign,
-    ZeroVariance,
     _as_alpha,
     _as_integer,
 )
@@ -191,16 +190,13 @@ def log_det_correlation(data):
     partition, and computed through it.
 
     Like the correlation matrix, the value does not depend on the scale of
-    any column.  Raises ZeroVariance if a column's sum of squares is zero
-    (a zero column, or one whose squares all underflow); a column that is
-    numerically dependent on the others is the QR's ``DegenerateColumn``.
+    any column.  The full-data QR refuses a zero or underflowing column
+    (``ZeroVariance``) and a dependent one (``DegenerateColumn``).
     """
     a = _as_data_matrix(data, stack=True)
     n, p = a.shape[-2:]
     if p >= n:
         raise DimensionExceedsSample(f"requires p < n, got p={p}, n={n}")
-    if np.any(np.einsum("...ij,...ij->...j", a, a) == 0.0):
-        raise ZeroVariance("a variable has (numerically) zero variance")
     return log_vn(a, BlockPartition.unit(p))
 
 

@@ -38,8 +38,9 @@ class InvalidAlpha(HdlrtError):
     """Significance level outside the open interval (0, 1)."""
 
 
-class ZeroVariance(HdlrtError):
-    """A variable has (numerically) zero variance; correlations are undefined."""
+class ZeroVariance(DegenerateColumn):
+    """A variable, or its residual after its predecessors, is (numerically)
+    zero: the column is zero or its squares underflow."""
 
 
 class InvalidPlan(HdlrtError):

@@ -39,12 +39,14 @@ from .errors import (
     DimensionMismatch,
     HdlrtError,
     NotPositiveDefinite,
+    ZeroVariance,
     _as_delta,
     _as_integer,
     _as_integers,
 )
 
 _EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True)
@@ -234,11 +236,15 @@ def incremental_quad_forms(data) -> np.ndarray:
 
     Raises
     ------
+    ZeroVariance
+        If a column is zero, or its squared residual norm is below the
+        smallest normal float, where underflow has cost it significant
+        bits and its log would depend on the column's scale.  A subclass
+        of DegenerateColumn.
     DegenerateColumn
-        If a column's squared norm is zero (the column is zero, or its
-        squares underflow) or its residual norm underflows the
-        rank-deficiency tolerance (squared norm below n * eps^2 * squared
-        column norm), naming the first such data column.
+        If a residual norm is below the rank-deficiency tolerance
+        (squared norm below n * eps^2 * squared column norm).  Both name
+        the first such data column.
     DimensionExceedsSample
         If there are more columns than observations.
     """
@@ -249,15 +255,18 @@ def incremental_quad_forms(data) -> np.ndarray:
                                      f"with n={n} observations")
     quad = _squared_r_diagonal(a)
     norms = np.einsum("...ij,...ij->...j", a, a)
-    bad = (norms == 0.0) | (quad < n * _EPS * _EPS * norms)
+    # a quad below a tolerance that underflows is itself below _TINY
+    bad = (quad < _TINY) | (quad < n * _EPS * _EPS * norms)
     if bad.any():
         where = tuple(np.argwhere(bad)[0])
-        if norms[where] == 0.0:
-            if a[where[:-1] + (slice(None), where[-1])].any():
-                raise DegenerateColumn(f"column {where[-1]} is not zero, but its squares "
-                                       "underflow")
-            raise DegenerateColumn(f"column {where[-1]} is identically zero")
-        raise DegenerateColumn(f"column {where[-1]} is numerically dependent on its predecessors")
+        column = where[-1]
+        if not a[where[:-1] + (slice(None), column)].any():
+            raise ZeroVariance(f"column {column} is identically zero")
+        if norms[where] >= _TINY and quad[where] / norms[where] < n * _EPS * _EPS:
+            raise DegenerateColumn(f"column {column} is numerically dependent on its "
+                                   "predecessors")
+        raise ZeroVariance(f"column {column} is not zero, but its squared residual "
+                           "underflows")
     return quad
 
 

@@ -301,30 +301,51 @@ def test_log_det_correlation_zero_variance_column(rng):
         log_det_correlation(data)
 
 
-@pytest.mark.parametrize("scale", [1e8, 1e9, 1e100, 1e-100, 1e-162])
-def test_correlation_statistic_is_invariant_to_a_column_scale(scale):
-    # a column whose mean square was below eps times the largest one's, or
-    # underflowed, used to be refused as ZeroVariance
+@pytest.mark.parametrize("column", [0, 3, 5])
+@pytest.mark.parametrize("scale", [1e8, 1e9, 1e100, 1e-100, 1e-150])
+def test_correlation_statistic_is_invariant_to_a_column_scale(scale, column):
+    # a column whose mean square was below eps times the largest one's was
+    # refused as ZeroVariance
     stack = np.random.default_rng(0).standard_normal((3, 40, 6))
     scaled = stack.copy()
-    scaled[:, :, 0] *= scale
+    scaled[:, :, column] *= scale
     assert correlation_test(scaled[0], 0.05).z == pytest.approx(
-        correlation_test(stack[0], 0.05).z, rel=1e-12)
-    assert log_det_correlation(scaled) == pytest.approx(log_det_correlation(stack), rel=1e-12)
+        correlation_test(stack[0], 0.05).z, rel=1e-10)
+    assert log_det_correlation(scaled) == pytest.approx(log_det_correlation(stack), rel=1e-10)
 
 
+@pytest.mark.parametrize("column", [0, 2, 5])
 @pytest.mark.parametrize("scale, fault", [(0.0, "is identically zero"),
-                                          (1e-170, "is not zero, but its squares underflow")],
-                         ids=["zero", "underflow"])
-def test_a_column_with_zero_squared_norm_is_named_for_its_cause(scale, fault, rng):
-    # a column whose squares underflow used to be called identically zero
+                                          (1e-160, "is not zero, but its squared residual "
+                                                   "underflows"),
+                                          (1e-170, "is not zero, but its squared residual "
+                                                   "underflows")],
+                         ids=["zero", "subnormal", "underflow"])
+def test_a_zero_or_underflowing_column_is_named_for_its_cause(scale, fault, column, rng):
+    # a column whose squares underflow was called identically zero, or, with
+    # squares of a few subnormal units, accepted with a z that was off
+    part = BlockPartition((3, 3))
     data = rng.standard_normal((40, 6))
-    data[:, 2] *= scale
+    data[:, column] *= scale
     for x in (data, np.stack([rng.standard_normal((40, 6)), data])):
-        with pytest.raises(DegenerateColumn, match=f"^column 2 {fault}$"):
-            incremental_quad_forms(x)
-    with pytest.raises(DegenerateColumn, match=f"^column 0 {fault}$"):
-        block_test(data * scale, BlockPartition((3, 3)), 0.05)
+        for call in (incremental_quad_forms, log_det_correlation, lambda x: log_vn(x, part)):
+            with pytest.raises(ZeroVariance, match=f"^column {column} {fault}$"):
+                call(x)
+    for call in (lambda x: correlation_test(x, 0.05), lambda x: block_test(x, part, 0.05)):
+        with pytest.raises(ZeroVariance, match=f"^column {column} {fault}$"):
+            call(data)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-160])
+def test_a_tiny_dependent_column_is_refused(scale, rng):
+    # its residual and the rank tolerance both underflowed to 0, so at
+    # 1e-150 the column passed and the statistic was -inf or NaN
+    data = rng.standard_normal((40, 6))
+    data[:, 2] = scale * (data[:, 0] + data[:, 1])
+    for call in (lambda x: correlation_test(x, 0.05),
+                 lambda x: block_test(x, BlockPartition((3, 3)), 0.05)):
+        with pytest.raises(DegenerateColumn, match="^column 2 "):
+            call(data)
 
 
 # ---------------------------------------------------------------------------
